@@ -46,17 +46,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def load_noise_profile(args) -> NoiseProfile:
-    cfg: dict = {}
-    if args.config is not None:
-        try:
-            cfg = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    noise_cfg = dict(cfg.get("noise", {}))
-    detector = DetectorModel(**noise_cfg.pop("detector", {}))
-    source = SourceModel(**noise_cfg.pop("source", {}))
+def load_config(args) -> dict:
+    """Parse the --config file once; an absent file is an empty config."""
+    if args.config is None:
+        return {}
     try:
+        cfg = json.loads(args.config.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
+    return cfg
+
+
+def load_noise_profile(cfg: dict, args) -> NoiseProfile:
+    try:
+        noise_cfg = dict(cfg.get("noise", {}))
+        detector = DetectorModel(**noise_cfg.pop("detector", {}))
+        source = SourceModel(**noise_cfg.pop("source", {}))
         noise = NoiseProfile(detector=detector, source=source, **noise_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad noise profile: {exc}") from exc
@@ -70,10 +77,7 @@ def load_noise_profile(args) -> NoiseProfile:
     return noise
 
 
-def load_input_state(args):
-    if args.config is None:
-        return STATE_V
-    cfg = json.loads(args.config.read_text())
+def load_input_state(cfg: dict):
     angles = cfg.get("input_state")
     if angles is None:
         return STATE_V
@@ -103,8 +107,9 @@ def run(args) -> int:
     experiment = args.experiment_flag or args.experiment
     if experiment is None:
         raise ConfigError("no experiment given (positional or --experiment)")
-    noise = load_noise_profile(args)
-    psi0 = load_input_state(args)
+    cfg = load_config(args)
+    noise = load_noise_profile(cfg, args)
+    psi0 = load_input_state(cfg)
 
     out_dir: Path = args.output
     try:

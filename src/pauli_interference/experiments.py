@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import DegenerateScan, ZeroDenominator
 from .optics import (InterferometerConfig, Port, case_i, case_ii,
-                     conditional_output_state, detection_probability, port_operator)
-from .photon_stats import (CountRecord, DetectorModel, PhaseCalibration, SourceModel,
+                     conditional_output_state, detection_probability,
+                     interference_probability, port_operator)
+from .photon_stats import (CountRecord, DetectorModel, SourceModel, _wrap_near,
                            calibrate_phase, derive_seed, expected_rate, fit_sinusoid,
                            records_to_csv, sample_counts)
 from .qubit import SIGMA_Y, PureState, STATE_V
@@ -41,8 +42,10 @@ class NoiseProfile:
     exact_probabilities: bool = False
 
     def __post_init__(self):
-        if self.waveplate_angle_sigma < 0:
-            raise ValueError("waveplate_angle_sigma must be >= 0")
+        if not 0.0 <= self.waveplate_angle_sigma < math.inf:
+            raise ValueError("waveplate_angle_sigma must be finite and >= 0")
+        if not math.isfinite(self.phase_offset_error):
+            raise ValueError("phase_offset_error must be finite")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
 
@@ -76,9 +79,7 @@ class ExperimentReport:
 
 
 def _profile_echo(noise: NoiseProfile, **extra) -> dict:
-    d = asdict(noise)
-    d.update(extra)
-    return d
+    return {**asdict(noise), **extra}
 
 
 def _perturbed(cfg: InterferometerConfig, noise: NoiseProfile, label: str) -> InterferometerConfig:
@@ -123,7 +124,7 @@ def run_phase_scan(noise: NoiseProfile, n_points: int = 40,
         "d1_phase": cal.d1_fit.phase, "d1_fringe_visibility": cal.d1_fit.fringe_visibility,
         "d2_offset": cal.d2_fit.offset, "d2_amplitude": cal.d2_fit.amplitude,
         "d2_phase": cal.d2_fit.phase, "d2_fringe_visibility": cal.d2_fit.fringe_visibility,
-        "d1_d2_antiphase": abs(_wrap(cal.d2_fit.phase - cal.d1_fit.phase)),
+        "d1_d2_antiphase": abs(_wrap_near(cal.d2_fit.phase - cal.d1_fit.phase, 0.0)),
     }
     if not noise.exact_probabilities:
         derived["phi0_err"] = cal.stderr
@@ -131,11 +132,6 @@ def run_phase_scan(noise: NoiseProfile, n_points: int = 40,
         derived["d2_fringe_visibility_err"] = _visibility_stderr(cal.d2_fit)
     return ExperimentReport("phase-scan", _profile_echo(noise, n_points=n_points),
                             records, derived)
-
-
-def _wrap(x: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return x - 2.0 * math.pi * math.floor(x / (2.0 * math.pi) + 0.5)
 
 
 def _visibility_stderr(fit) -> float:
@@ -154,8 +150,7 @@ def _calibrated_phi0(noise: NoiseProfile) -> float:
 def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V,
                         phi0: float | None = None) -> ExperimentReport:
     """Normalized D1/D2 rates for case I vs case II at the calibrated phase."""
-    if phi0 is None:
-        phi0 = _calibrated_phi0(noise)
+    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
     derived: dict = {"phi0": phi0}
     records = []
     for case_name, builder in (("I", case_i), ("II", case_ii)):
@@ -193,14 +188,11 @@ def run_commutator_qpt(noise: NoiseProfile, phi0: float | None = None) -> Experi
     inversion in exact-probability mode and maximum likelihood on sampled
     counts.
     """
-    if phi0 is None:
-        phi0 = _calibrated_phi0(noise)
+    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
     cfg = _perturbed(case_ii(visibility=noise.visibility), noise, "qpt")
     cfg = cfg.with_phi(phi0 - noise.phase_offset_error)
     t = noise.source.integration_time
-    records = []
-    outputs = {}
-    mle_converged = True
+    records, outputs, mle_converged = [], {}, True
     for label in QPT_INPUT_LABELS:
         psi = QPT_INPUT_STATES[label]
         rho_out = conditional_output_state(cfg, Port.D2, psi.density())
@@ -245,19 +237,15 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V,
     the ratio; the standard error follows Poisson propagation,
     stderr = |k| sqrt(1/N + 1/(N_u + N_l)).
     """
-    if phi0 is None:
-        phi0 = _calibrated_phi0(noise)
+    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
     cfg = _perturbed(case_ii(visibility=noise.visibility), noise, "estimate-k")
     cfg = cfg.with_phi(phi0 - noise.phase_offset_error)
     t = noise.source.integration_time
     dark = noise.detector.dark_rate * t
     records = []
     corrected = {}
-    sub_runs = (
-        ("open", {}),
-        ("block-transmitted", {"block_transmitted": True}),
-        ("block-reflected", {"block_reflected": True}),
-    )
+    sub_runs = (("open", {}), ("block-transmitted", {"block_transmitted": True}),
+                ("block-reflected", {"block_reflected": True}))
     for label, blocks in sub_runs:
         sub = replace(cfg, **blocks)
         p = detection_probability(sub, Port.D2, psi0)
@@ -276,21 +264,6 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V,
     return ExperimentReport("estimate-k", _profile_echo(noise), records, derived)
 
 
-def _outer_probability(m1: np.ndarray, m2: np.ndarray, phi_ref: float,
-                       visibility: float, psi0: PureState) -> float:
-    """Detection probability of the extended interferometer.
-
-    One outer arm carries operator m1 (scanned phase phi_ref), the other
-    m2; the cross term carries the outer visibility.
-    """
-    v = psi0.vector
-    a, b = m1 @ v, m2 @ v
-    cross = np.vdot(b, a) * np.exp(1j * phi_ref)
-    p = 0.25 * (np.vdot(a, a).real + np.vdot(b, b).real
-                + 2.0 * visibility * cross.real)
-    return float(max(p, 0.0))
-
-
 def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V,
                    n_points: int = 40, phi0: float | None = None) -> ExperimentReport:
     """Fringe-phase comparison of the commutator output against a sigma_y reference.
@@ -300,8 +273,7 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V,
     fringe-phase difference between this scan and a reference-vs-reference
     scan is the phase of k (pi/2 ideally).
     """
-    if phi0 is None:
-        phi0 = _calibrated_phi0(noise)
+    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
     inner = _perturbed(case_ii(visibility=noise.visibility), noise, "phase-of-k")
     inner = inner.with_phi(phi0 - noise.phase_offset_error)
     m_com = port_operator(inner, Port.D2)
@@ -313,17 +285,16 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V,
                                  ("reference", (m_ref, m_ref))):
         counts = []
         for i, phi in enumerate(phis):
-            p = _outer_probability(m1, m2, float(phi) - noise.phase_offset_error,
-                                   noise.visibility, psi0)
-            rec = _record(min(p, 1.0), noise, f"arg-k:{scan_label}", float(phi),
-                          Port.D2, i)
+            p = interference_probability(m1, m2, float(phi) - noise.phase_offset_error,
+                                         noise.visibility, psi0)
+            rec = _record(p, noise, f"arg-k:{scan_label}", float(phi), Port.D2, i)
             records.append(rec)
             counts.append(rec.counts)
         fit = fit_sinusoid(phis, counts)
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:
             raise DegenerateScan(f"{scan_label} scan has no usable fringe")
         fits[scan_label] = fit
-    arg_k = _wrap(fits["reference"].phase - fits["commutator"].phase)
+    arg_k = _wrap_near(fits["reference"].phase - fits["commutator"].phase, 0.0)
     derived = {"arg_k": arg_k,
                "commutator_fringe_phase": fits["commutator"].phase,
                "reference_fringe_phase": fits["reference"].phase,

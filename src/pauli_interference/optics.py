@@ -113,10 +113,14 @@ def case_ii(phi: float = 0.0, visibility: float = 1.0, **kw) -> InterferometerCo
 
 
 def arm_operators(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with A = sigma2*sigma1 on the transmitted arm, B = sigma4*sigma3 on the reflected."""
+    """(A, B) with A = sigma2*sigma1 on the transmitted arm, B = sigma4*sigma3 on the reflected.
+
+    A blocked arm's operator is zero.
+    """
     a = waveplate_matrix(cfg.sigma2) @ waveplate_matrix(cfg.sigma1)
     b = waveplate_matrix(cfg.sigma4) @ waveplate_matrix(cfg.sigma3)
-    return a, b
+    zero = np.zeros((2, 2), dtype=complex)
+    return (zero if cfg.block_transmitted else a), (zero if cfg.block_reflected else b)
 
 
 def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
@@ -126,31 +130,31 @@ def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
     arm drops its term; the 1/2 from each beam splitter is retained.
     """
     a, b = arm_operators(cfg)
-    if cfg.block_transmitted:
-        a = np.zeros((2, 2), dtype=complex)
-    if cfg.block_reflected:
-        b = np.zeros((2, 2), dtype=complex)
     ph = np.exp(1j * cfg.phi)
     if port is Port.D1:
         return 0.5j * (a * ph + b)
     return 0.5 * (a * ph - b)
 
 
-def detection_probability(cfg: InterferometerConfig, port: Port, psi0: PureState) -> float:
-    """Click probability at a port for input state psi0.
+def interference_probability(a: np.ndarray, b: np.ndarray, phi: float, visibility: float,
+                             psi0: PureState, sign: float = 1.0) -> float:
+    """Click probability behind the beam splitter that recombines arms A and B.
 
-    p = (1/4)(|A psi|^2 + |B psi|^2 +/- 2 V Re(e^{i phi} <B psi|A psi>)),
-    with + for D1 and - for D2.  Visibility scales only the cross term.
+    p = (1/4)(|A psi|^2 + |B psi|^2 + sign 2 V Re(e^{i phi} <B psi|A psi>)),
+    clamped to [0, 1].  Visibility scales only the cross term.
     """
-    a, b = arm_operators(cfg)
-    v = psi0.vector
-    av = np.zeros(2, dtype=complex) if cfg.block_transmitted else a @ v
-    bv = np.zeros(2, dtype=complex) if cfg.block_reflected else b @ v
-    sign = 1.0 if port is Port.D1 else -1.0
-    cross = np.vdot(bv, av) * np.exp(1j * cfg.phi)
+    av, bv = a @ psi0.vector, b @ psi0.vector
+    cross = np.vdot(bv, av) * np.exp(1j * phi)
     p = 0.25 * (np.vdot(av, av).real + np.vdot(bv, bv).real
-                + sign * 2.0 * cfg.visibility * cross.real)
+                + sign * 2.0 * visibility * cross.real)
     return float(min(max(p, 0.0), 1.0))
+
+
+def detection_probability(cfg: InterferometerConfig, port: Port, psi0: PureState) -> float:
+    """Click probability at a port for input state psi0: sign + for D1, - for D2."""
+    a, b = arm_operators(cfg)
+    return interference_probability(a, b, cfg.phi, cfg.visibility, psi0,
+                                    1.0 if port is Port.D1 else -1.0)
 
 
 def conditional_output_state(cfg: InterferometerConfig, port: Port,
@@ -160,10 +164,6 @@ def conditional_output_state(cfg: InterferometerConfig, port: Port,
     Raises ZeroProbability for a dark port (unnormalized trace below 1e-15).
     """
     a, b = arm_operators(cfg)
-    if cfg.block_transmitted:
-        a = np.zeros((2, 2), dtype=complex)
-    if cfg.block_reflected:
-        b = np.zeros((2, 2), dtype=complex)
     sign = 1.0 if port is Port.D1 else -1.0
     ph = np.exp(1j * cfg.phi)
     out = (a @ rho_in @ a.conj().T + b @ rho_in @ b.conj().T

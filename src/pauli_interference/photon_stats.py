@@ -27,8 +27,8 @@ class SourceModel:
     integration_time: float = 1.0
 
     def __post_init__(self):
-        if self.pair_rate <= 0 or self.integration_time <= 0:
-            raise ValueError("pair_rate and integration_time must be > 0")
+        if not (0.0 < self.pair_rate < math.inf and 0.0 < self.integration_time < math.inf):
+            raise ValueError("pair_rate and integration_time must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be >= 0")
+        if not 0.0 <= self.dark_rate < math.inf:
+            raise ValueError("dark_rate must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 State tomography uses the over-complete six-projector set {H, V, D, A, R, L}
 (three mutually unbiased bases).  Linear inversion recovers the Bloch
-vector directly from count differences; the maximum-likelihood path
-optimizes a Poissonian likelihood over the cone of physical states via a
-triangular-factor parameterization, so its output is PSD by construction.
+vector directly from count differences.  Because each basis pair is
+normalized by its own observed total, the Poisson likelihood factorizes
+into three binomials, one per Bloch component, so the maximum-likelihood
+state has a closed form: the linear-inversion Bloch vector when it lies in
+the unit ball, and otherwise the point on the Bloch sphere fixed by a
+single Lagrange multiplier (Hradil, PRA 55, R1561 (1997); James et al.,
+PRA 64, 052312 (2001)).
 
 Process tomography expresses a single-qubit channel as
 E(rho) = sum_mn chi_mn E_m rho E_n^dag in the fixed operator basis
@@ -13,19 +17,21 @@ E(rho) = sum_mn chi_mn E_m rho E_n^dag in the fixed operator basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import EmptyData, NotUnitary, SingularSystem
 from .qubit import (IDENTITY, PAULI_BASIS, PAULI_LABELS, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                    PureState, STATE_A, STATE_D, STATE_H, STATE_L, STATE_R, STATE_V)
+                    STATE_A, STATE_D, STATE_H, STATE_L, STATE_R, STATE_V, is_unitary)
 
 SETTING_LABELS = ("H", "V", "D", "A", "R", "L")
 _SETTING_STATES = {"H": STATE_H, "V": STATE_V, "D": STATE_D,
                    "A": STATE_A, "R": STATE_R, "L": STATE_L}
-_PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
+# (+1, -1) eigenstate labels of sigma_x, sigma_y, sigma_z
+_STOKES_PAIRS = (("D", "A"), ("L", "R"), ("H", "V"))
 
 QPT_INPUT_LABELS = ("H", "V", "D", "R")
 QPT_INPUT_STATES = {"H": STATE_H, "V": STATE_V, "D": STATE_D, "R": STATE_R}
@@ -53,9 +59,13 @@ def _check_pairs(counts: dict[str, float]) -> None:
     missing = [l for l in SETTING_LABELS if l not in counts]
     if missing:
         raise ValueError(f"missing settings: {missing}")
-    for a, b in _PAIRS:
+    for a, b in _STOKES_PAIRS:
         if counts[a] + counts[b] <= 0:
             raise EmptyData(f"basis pair ({a}, {b}) has zero total counts")
+
+
+def _bloch_rho(s) -> np.ndarray:
+    return 0.5 * (IDENTITY + s[0] * SIGMA_X + s[1] * SIGMA_Y + s[2] * SIGMA_Z)
 
 
 @dataclass(frozen=True)
@@ -68,12 +78,11 @@ class LinearInversionResult:
 def qst_linear(counts: dict[str, float]) -> LinearInversionResult:
     """Stokes-parameter inversion; may be non-physical under shot noise."""
     _check_pairs(counts)
-    sx = (counts["D"] - counts["A"]) / (counts["D"] + counts["A"])
-    sy = (counts["L"] - counts["R"]) / (counts["L"] + counts["R"])
-    sz = (counts["H"] - counts["V"]) / (counts["H"] + counts["V"])
-    rho = 0.5 * (IDENTITY + sx * SIGMA_X + sy * SIGMA_Y + sz * SIGMA_Z)
+    bloch = np.array([(counts[p] - counts[m]) / (counts[p] + counts[m])
+                      for p, m in _STOKES_PAIRS])
+    rho = _bloch_rho(bloch)
     physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-10)
-    return LinearInversionResult(rho=rho, bloch=np.array([sx, sy, sz]), physical=physical)
+    return LinearInversionResult(rho=rho, bloch=bloch, physical=physical)
 
 
 # dT/dx for the upper-triangular factor T = [[x0, x2 + i*x3], [0, x1]]
@@ -89,19 +98,15 @@ def _factor(x: np.ndarray) -> np.ndarray:
     return np.array([[x[0], x[2] + 1j * x[3]], [0.0, x[1]]], dtype=complex)
 
 
-def _rho_from_params(x: np.ndarray) -> np.ndarray:
-    t = _factor(x)
-    g = t.conj().T @ t
-    return g / np.trace(g).real
-
-
 def mle_negative_log_likelihood(x: np.ndarray, counts: dict[str, float],
                                 totals: dict[str, float],
                                 projectors: dict[str, np.ndarray]) -> tuple[float, np.ndarray]:
     """Poissonian -log L and its analytic gradient in the 4 factor parameters.
 
-    The expected count for setting j is lambda_j = N_pair(j) * tr(P_j rho)
-    where N_pair(j) is the observed total of j's basis pair.
+    rho = T^dag T / tr(T^dag T) with T = _factor(x).  The expected count for
+    setting j is lambda_j = N_pair(j) * tr(P_j rho) where N_pair(j) is the
+    observed total of j's basis pair.  qst_mle does not use it: it is an
+    independent oracle for the tests.
     """
     t = _factor(x)
     g = t.conj().T @ t
@@ -123,54 +128,80 @@ def mle_negative_log_likelihood(x: np.ndarray, counts: dict[str, float],
     return nll, grad
 
 
+def _decreasing_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
+    """Root of a non-increasing f on [lo, hi] with f(lo) >= 0 >= f(hi).
+
+    f returns (value, slope).  Newton steps stay inside the shrinking
+    bracket; a step that leaves it, or a zero slope, bisects instead.
+    Returns (root, steps, converged).
+    """
+    x = 0.5 * (lo + hi)
+    for steps in range(1, 201):
+        val, slope = f(x)
+        if val == 0.0:
+            return x, steps, True
+        lo, hi = (x, hi) if val > 0.0 else (lo, x)
+        new = x - val / slope if slope < 0.0 else lo
+        new = new if lo < new < hi else 0.5 * (lo + hi)
+        if abs(new - x) <= 1e-15 * abs(x):
+            return new, steps, True
+        x = new
+    return x, steps, False
+
+
+def _pair_root(n_plus: float, n_minus: float, mu: float) -> tuple[float, float]:
+    """Root s of n+/(1+s) - n-/(1-s) = 2 mu s for mu > 0, and ds/dmu.
+
+    s maximizes n+ log(1+s) + n- log(1-s) - mu s^2; with both counts
+    positive it is unique in (-1, 1).  A zero-count pair has the closed root
+    s = +-(sqrt(1 + 2n/mu) - 1)/2, which exceeds 1 only while mu < n/4,
+    never at the multiplier's root, where every |s_k| <= 1.
+    """
+    if n_plus == 0.0 or n_minus == 0.0:
+        n, sign = n_plus + n_minus, (1.0 if n_minus == 0.0 else -1.0)
+        r = math.sqrt(1.0 + 2.0 * n / mu)
+        return sign * n / (mu * (r + 1.0)), -sign * n / (2.0 * mu * mu * r)
+    h = lambda s: (n_plus / (1.0 + s) - n_minus / (1.0 - s) - 2.0 * mu * s,
+                   -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu)
+    s_lin = (n_plus - n_minus) / (n_plus + n_minus)
+    s = _decreasing_root(h, min(0.0, s_lin), max(0.0, s_lin))[0]
+    return s, 2.0 * s / h(s)[1]
+
+
 @dataclass(frozen=True)
 class MleResult:
     rho: np.ndarray
     converged: bool
-    iterations: int
-    log_likelihoods: tuple[float, ...] = field(repr=False)
+    iterations: int    # multiplier root steps; 0 when linear inversion is physical
 
 
-def qst_mle(counts: dict[str, float], tol: float = 1e-10,
-            max_iter: int = 500) -> MleResult:
-    """Maximum-likelihood reconstruction; physical by construction.
+def qst_mle(counts: dict[str, float]) -> MleResult:
+    """Maximum-likelihood state; physical by construction.
 
-    Quasi-Newton (L-BFGS-B) on the 4 real triangular-factor parameters,
-    started from the eigenvalue-clipped linear-inversion estimate.  When
-    max_iter is exhausted the best iterate is returned with converged=False.
+    With each pair normalized by its observed total, -log L is a sum of
+    three binomial terms -n+ log(1+s_k) - n- log(1-s_k) in the Bloch
+    components s_k, minimized over the unit ball.  When the
+    linear-inversion Bloch vector has |s| <= 1 it is the minimum and is
+    returned unchanged.  Otherwise the minimum lies on the Bloch sphere:
+    each s_k(mu) solves n+/(1+s) - n-/(1-s) = 2 mu s, the multiplier
+    mu > 0 is the root of sum_k s_k(mu)^2 = 1 (bracketed Newton/bisection),
+    and the result is renormalized to |s| = 1, a pure state.
     """
-    _check_pairs(counts)
-    projectors = {s.label: s.projector for s in tomography_settings()}
-    totals = {}
-    for a, b in _PAIRS:
-        tot = counts[a] + counts[b]
-        totals[a] = totals[b] = tot
+    linear = qst_linear(counts)
+    if linear.bloch @ linear.bloch <= 1.0:
+        return MleResult(rho=linear.rho, converged=True, iterations=0)
+    pairs = [(float(counts[p]), float(counts[m])) for p, m in _STOKES_PAIRS]
 
-    rho0 = qst_linear(counts).rho
-    w, v = np.linalg.eigh(rho0)
-    w = np.clip(w, 1e-9, None)
-    rho0 = (v * w) @ v.conj().T
-    rho0 /= np.trace(rho0).real
-    low = np.linalg.cholesky(rho0)
-    t0 = low.conj().T  # upper triangular, rho0 = t0^dag t0
-    x0 = np.array([t0[0, 0].real, t0[1, 1].real, t0[0, 1].real, t0[0, 1].imag])
+    def excess(mu):
+        roots = [_pair_root(n_plus, n_minus, mu) for n_plus, n_minus in pairs]
+        return sum(s * s for s, _ in roots) - 1.0, sum(2.0 * s * ds for s, ds in roots)
 
-    history: list[float] = []
-    fun = lambda x: mle_negative_log_likelihood(x, counts, totals, projectors)
-    history.append(-fun(x0)[0])
-
-    def callback(xk):
-        history.append(-fun(xk)[0])
-
-    res = scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
-                                  callback=callback,
-                                  options={"maxiter": max_iter, "ftol": 1e-15,
-                                           "gtol": 1e-12})
-    history.append(-fun(res.x)[0])
-    converged = bool(res.success) or (len(history) >= 2
-                                      and abs(history[-1] - history[-2]) < tol)
-    return MleResult(rho=_rho_from_params(res.x), converged=converged,
-                     iterations=int(res.nit), log_likelihoods=tuple(history))
+    # |s_k(mu)| <= N_k / (2 mu), so the excess is <= 0 at the upper end
+    mu_hi = 0.5 * math.hypot(*(n_plus + n_minus for n_plus, n_minus in pairs))
+    mu, steps, converged = _decreasing_root(excess, 0.0, mu_hi)
+    bloch = np.array([_pair_root(n_plus, n_minus, mu)[0] for n_plus, n_minus in pairs])
+    return MleResult(rho=_bloch_rho(bloch / np.linalg.norm(bloch)),
+                     converged=converged, iterations=steps)
 
 
 # --- process tomography -------------------------------------------------
@@ -178,7 +209,7 @@ def qst_mle(counts: dict[str, float], tol: float = 1e-10,
 def chi_of_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Rank-1 process matrix of a unitary: chi = c c^dag with u = sum_m c_m E_m."""
     u = np.asarray(u, dtype=complex)
-    if np.abs(u.conj().T @ u - IDENTITY).max() > tol:
+    if not is_unitary(u, tol):
         raise NotUnitary("matrix is not unitary within tolerance")
     c = np.array([0.5 * np.trace(e.conj().T @ u) for e in PAULI_BASIS])
     return np.outer(c, c.conj())
@@ -203,25 +234,18 @@ def qpt_reconstruct(outputs: dict[str, np.ndarray]) -> ChiResult:
     missing = [l for l in QPT_INPUT_LABELS if l not in outputs]
     if missing:
         raise ValueError(f"missing QPT inputs: {missing}")
-    oh, ov = np.asarray(outputs["H"], complex), np.asarray(outputs["V"], complex)
-    od, orr = np.asarray(outputs["D"], complex), np.asarray(outputs["R"], complex)
+    oh, ov, od, orr = (np.asarray(outputs[l], complex) for l in QPT_INPUT_LABELS)
     e_hv = od - 1j * orr - 0.5 * (1 - 1j) * (oh + ov)
     images = {(0, 0): oh, (1, 1): ov, (0, 1): e_hv, (1, 0): e_hv.conj().T}
 
-    units = {}
-    for i in range(2):
-        for j in range(2):
-            u = np.zeros((2, 2), dtype=complex)
-            u[i, j] = 1.0
-            units[(i, j)] = u
-
     system = np.zeros((16, 16), dtype=complex)
     target = np.zeros(16, dtype=complex)
-    for k, key in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        target[4 * k:4 * k + 4] = images[key].reshape(4)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        target[4 * k:4 * k + 4] = images[i, j].reshape(4)
+        unit = np.outer(IDENTITY[i], IDENTITY[j])
         for m in range(4):
             for n in range(4):
-                col = (PAULI_BASIS[m] @ units[key] @ PAULI_BASIS[n].conj().T).reshape(4)
+                col = (PAULI_BASIS[m] @ unit @ PAULI_BASIS[n].conj().T).reshape(4)
                 system[4 * k:4 * k + 4, 4 * m + n] = col
     if np.linalg.matrix_rank(system) < 16:
         raise SingularSystem("QPT input set does not span the operator space")
@@ -239,7 +263,6 @@ def process_fidelity(chi_exp: np.ndarray, chi_ideal: np.ndarray) -> float:
     """Tr[chi_exp chi_ideal], real part, clamped to [0, 1]."""
     f = float(np.trace(np.asarray(chi_exp) @ np.asarray(chi_ideal)).real)
     if f < 0.0 or f > 1.0:
-        import warnings
         warnings.warn(f"process fidelity {f} clamped to [0, 1]", stacklevel=2)
     return min(max(f, 0.0), 1.0)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pauli_interference
 from pauli_interference.cli import main
 
 
@@ -64,6 +69,44 @@ def test_bad_config_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(["phase-scan", "--config", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"noise": {"detector": {"eff": 0.5}}}',
+    '[1, 2]',
+    '{"noise": {"source": {"pair_rate": -1}}}',
+    '{"noise": {"waveplate_angle_sigma": NaN}}',
+], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma"])
+def test_bad_config_values_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run_cli(["phase-scan", "--config", str(cfg),
+                            "--output", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_qpt_mle_converged_is_json_bool(tmp_path, capsys):
+    # op 384 of the qpt-mc benchmark workload, seed 11: the MLE once returned
+    # converged as numpy.bool here and report.json failed to serialize
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"waveplate_angle_sigma": 0.05}}))
+    code, _, _ = run_cli(["qpt", "--seed", "16354647455366171686", "--config", str(cfg),
+                          "--output", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["derived"]["mle_converged"] is True
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(pauli_interference.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pauli_interference, pauli_interference.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_experiment_error_exit_code(tmp_path, capsys):

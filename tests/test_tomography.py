@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from oracle import PAIRS, PROJECTORS, factor_params, oracle_nll, pair_totals
 from pauli_interference.errors import EmptyData, NotUnitary
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_D,
                                       STATE_H, STATE_R, trace_distance)
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
-                                           chi_of_unitary, chi_to_json, density_to_json,
-                                           matrix_to_json, mle_negative_log_likelihood,
+                                           SETTING_LABELS, chi_of_unitary, chi_to_json,
+                                           density_to_json, matrix_to_json,
+                                           mle_negative_log_likelihood,
                                            process_fidelity, qpt_reconstruct, qst_linear,
                                            qst_mle, setting_probabilities,
                                            tomography_settings)
@@ -110,14 +112,40 @@ def test_qst_mle_monte_carlo_convergence():
     assert np.mean(errs) < 0.03
 
 
-def test_qst_mle_likelihood_monotone():
+def _lbfgs_reference_nll(counts):
+    """Oracle -log L minimized by L-BFGS-B over the factor parameters, best of two starts."""
+    totals = pair_totals(counts)
+    fun = lambda x: mle_negative_log_likelihood(x, counts, totals, PROJECTORS)
+    w, v = np.linalg.eigh(qst_linear(counts).rho)
+    clipped = (v * np.clip(w, 1e-9, None)) @ v.conj().T
+    best = np.inf
+    for rho0 in (clipped / np.trace(clipped).real, 0.5 * IDENTITY):
+        res = scipy.optimize.minimize(fun, factor_params(rho0), jac=True, method="L-BFGS-B",
+                                      options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
+        best = min(best, res.fun)
+    return best
+
+
+def test_qst_mle_likelihood_optimal():
     rng = np.random.default_rng(2)
-    for seed in range(20):
-        counts = {k: int(rng.poisson(500 * v) + 1)
-                  for k, v in setting_probabilities(random_state(rng)).items()}
-        lls = qst_mle(counts).log_likelihoods
-        diffs = np.diff(lls)
-        assert diffs.min() >= -1e-8 * max(1.0, abs(lls[0]))
+    n_sets = n_unphysical = n_zero = 0
+    while n_sets < 240:
+        truth = random_state(rng, pure=n_sets % 3 == 0)
+        scale = (5, 50, 500, 1e4)[n_sets % 4]
+        counts = {k: int(rng.poisson(scale * v))
+                  for k, v in setting_probabilities(truth).items()}
+        if n_sets % 4 == 1:
+            counts[SETTING_LABELS[rng.integers(6)]] = 0
+        if min(counts[a] + counts[b] for a, b in PAIRS) == 0:
+            continue
+        n_sets += 1
+        n_unphysical += not qst_linear(counts).physical
+        n_zero += min(counts.values()) == 0
+        res = qst_mle(counts)
+        assert res.converged is True
+        ref = _lbfgs_reference_nll(counts)
+        assert oracle_nll(res.rho, counts) <= ref + 1e-9 * abs(ref)
+    assert n_unphysical >= 50 and n_zero >= 50
 
 
 def test_mle_gradient_matches_finite_differences():
@@ -190,6 +218,8 @@ def test_chi_of_unitary_examples():
 def test_chi_of_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         chi_of_unitary(np.array([[1.0, 0.0], [0.0, 0.5]]))
+    with pytest.raises(NotUnitary):
+        chi_of_unitary(np.full((2, 2), np.nan))
 
 
 def test_process_fidelity_examples():
