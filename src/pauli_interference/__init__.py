@@ -3,7 +3,7 @@ the Pauli commutation relations: Jones-calculus optics, Poissonian photon
 counting, and state/process tomography."""
 
 from .errors import (CalibrationInconsistent, DegenerateScan, EmptyData, NotUnitary,
-                     SingularSystem, ZeroDenominator, ZeroProbability)
+                     ZeroDenominator, ZeroProbability)
 from .qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState, anticommutator,
                     apply, commutator, pauli, state_distances)
 from .optics import (InterferometerConfig, Port, WavePlate, case_i, case_ii,

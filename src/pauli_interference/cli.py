@@ -152,7 +152,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (errors.ZeroProbability, errors.DegenerateScan, errors.CalibrationInconsistent,
-            errors.EmptyData, errors.SingularSystem, errors.NotUnitary,
+            errors.EmptyData, errors.NotUnitary,
             errors.ZeroDenominator, RuntimeError) as exc:
         print(f"experiment error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3

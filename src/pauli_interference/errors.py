@@ -17,10 +17,6 @@ class EmptyData(ValueError):
     """A tomography basis pair has zero total counts."""
 
 
-class SingularSystem(ValueError):
-    """The process-tomography linear system is rank deficient."""
-
-
 class NotUnitary(ValueError):
     """A matrix expected to be unitary is not, within tolerance."""
 

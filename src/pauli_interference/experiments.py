@@ -2,10 +2,13 @@
 tomography of the commutator port, magnitude and phase of the
 proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 
-All randomness flows from ``NoiseProfile.master_seed`` through the stable
-per-setting seed derivation in :mod:`photon_stats`, so a report is a pure
-function of its profile.  With ``exact_probabilities`` set, Poisson
-sampling is bypassed and counts are expected values (floats).
+Each run builds its interferometer once (``_apparatus``); the phi0
+calibration and the phase-of-k scans sweep the mirror phase over arm
+operators computed once (``_fringe_scan``).  All randomness flows from
+``NoiseProfile.master_seed`` through the stable per-setting seed
+derivation in :mod:`photon_stats`, so a report is a pure function of its
+profile.  With ``exact_probabilities`` set, Poisson sampling is bypassed
+and counts are expected values (floats).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateScan, ZeroDenominator
-from .optics import (InterferometerConfig, Port, case_i, case_ii,
+from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
                      conditional_output_state, detection_probability,
                      interference_probability, port_operator)
 from .photon_stats import (CountRecord, DetectorModel, SourceModel, _wrap_near,
@@ -27,6 +30,13 @@ from .qubit import SIGMA_Y, PureState, STATE_V
 from .tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES, chi_of_unitary,
                          chi_to_json, process_fidelity, qpt_reconstruct, qst_linear,
                          qst_mle, setting_probabilities)
+
+# the mirror phases of every fringe scan: the phi0 calibration and phase-of-k
+N_SCAN_POINTS = 40
+_SCAN_PHIS = np.linspace(-2.0 * math.pi, 2.0 * math.pi, N_SCAN_POINTS)
+# numpy's Poisson sampler refuses means above about 9.2e18, so a profile whose
+# brightest setting could ask for more is rejected up front
+MAX_MEAN_COUNTS = 1.0e18
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,9 @@ class NoiseProfile:
             raise ValueError("phase_offset_error must be finite")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
+        peak_rate = self.source.pair_rate * self.detector.efficiency + self.detector.dark_rate
+        if not peak_rate * self.source.integration_time <= MAX_MEAN_COUNTS:
+            raise ValueError(f"mean counts per setting exceed {MAX_MEAN_COUNTS:g}")
 
     @classmethod
     def ideal(cls, master_seed: int = 0, exact_probabilities: bool = True) -> "NoiseProfile":
@@ -82,8 +95,10 @@ def _profile_echo(noise: NoiseProfile, **extra) -> dict:
     return {**asdict(noise), **extra}
 
 
-def _perturbed(cfg: InterferometerConfig, noise: NoiseProfile, label: str) -> InterferometerConfig:
-    """Apply one run's worth of Gaussian plate-angle errors."""
+def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> InterferometerConfig:
+    """One run's interferometer: ``builder``'s plates with this run's Gaussian angle
+    errors (seeded from ``label``), the mirror at phi0 less the phase offset."""
+    cfg = builder(phi=phi0 - noise.phase_offset_error, visibility=noise.visibility)
     if noise.waveplate_angle_sigma == 0.0:
         return cfg
     rng = np.random.default_rng(derive_seed(noise.master_seed, f"plates:{label}"))
@@ -106,17 +121,22 @@ def _record(p: float, noise: NoiseProfile, label: str, phi: float, port: Port,
     return CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=counts)
 
 
-def run_phase_scan(noise: NoiseProfile, n_points: int = 40,
-                   psi0: PureState = STATE_V) -> ExperimentReport:
+def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
+                 label: str, outputs: tuple) -> list[CountRecord]:
+    """Records of a mirror-phase scan over fixed arm operators a, b, phi-major;
+    ``outputs`` lists the (recorded port, cross-term sign) pairs at each phase."""
+    return [_record(interference_probability(a, b, float(phi) - noise.phase_offset_error,
+                                             noise.visibility, psi0, sign),
+                    noise, label, float(phi), port, i)
+            for i, phi in enumerate(_SCAN_PHIS) for port, sign in outputs]
+
+
+def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Scan the mirror phase with all plates at sigma_z and calibrate phi0."""
-    cfg0 = _perturbed(case_i(visibility=noise.visibility), noise, "phase-scan")
-    phis = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n_points)
-    records = []
-    for i, phi in enumerate(phis):
-        cfg = cfg0.with_phi(phi - noise.phase_offset_error)
-        for port in (Port.D1, Port.D2):
-            p = detection_probability(cfg, port, psi0)
-            records.append(_record(p, noise, "phase-scan", float(phi), port, i))
+    # the scan sets the mirror phase itself, so the apparatus phi0 is unused
+    a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
+    records = _fringe_scan(a, b, noise, psi0, "phase-scan",
+                           ((Port.D1, 1.0), (Port.D2, -1.0)))
     cal = calibrate_phase(records)
     derived = {
         "phi0": cal.phi0,
@@ -130,7 +150,7 @@ def run_phase_scan(noise: NoiseProfile, n_points: int = 40,
         derived["phi0_err"] = cal.stderr
         derived["d1_fringe_visibility_err"] = _visibility_stderr(cal.d1_fit)
         derived["d2_fringe_visibility_err"] = _visibility_stderr(cal.d2_fit)
-    return ExperimentReport("phase-scan", _profile_echo(noise, n_points=n_points),
+    return ExperimentReport("phase-scan", _profile_echo(noise, n_points=N_SCAN_POINTS),
                             records, derived)
 
 
@@ -147,16 +167,13 @@ def _calibrated_phi0(noise: NoiseProfile) -> float:
     return run_phase_scan(noise).derived["phi0"]
 
 
-def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V,
-                        phi0: float | None = None) -> ExperimentReport:
+def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Normalized D1/D2 rates for case I vs case II at the calibrated phase."""
-    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
+    phi0 = _calibrated_phi0(noise)
     derived: dict = {"phi0": phi0}
     records = []
     for case_name, builder in (("I", case_i), ("II", case_ii)):
-        cfg = _perturbed(builder(visibility=noise.visibility), noise,
-                         f"case-{case_name}")
-        cfg = cfg.with_phi(phi0 - noise.phase_offset_error)
+        cfg = _apparatus(builder, noise, f"case-{case_name}", phi0)
         counts = {}
         for port in (Port.D1, Port.D2):
             p = detection_probability(cfg, port, psi0)
@@ -180,7 +197,7 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V,
     return ExperimentReport("case-compare", _profile_echo(noise), records, derived)
 
 
-def run_commutator_qpt(noise: NoiseProfile, phi0: float | None = None) -> ExperimentReport:
+def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     """Process tomography of the commutator port (case II, D2) against sigma_y.
 
     For each of the four tomography inputs the conditional D2 state is
@@ -188,9 +205,8 @@ def run_commutator_qpt(noise: NoiseProfile, phi0: float | None = None) -> Experi
     inversion in exact-probability mode and maximum likelihood on sampled
     counts.
     """
-    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
-    cfg = _perturbed(case_ii(visibility=noise.visibility), noise, "qpt")
-    cfg = cfg.with_phi(phi0 - noise.phase_offset_error)
+    phi0 = _calibrated_phi0(noise)
+    cfg = _apparatus(case_ii, noise, "qpt", phi0)
     t = noise.source.integration_time
     records, outputs, mle_converged = [], {}, True
     for label in QPT_INPUT_LABELS:
@@ -228,8 +244,7 @@ def run_commutator_qpt(noise: NoiseProfile, phi0: float | None = None) -> Experi
     return ExperimentReport("qpt", _profile_echo(noise), records, derived)
 
 
-def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V,
-                         phi0: float | None = None) -> ExperimentReport:
+def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """|k| = N / (N_u + N_l) from path-blocking sub-runs at the commutator port.
 
     N: both arms open; N_u: transmitted arm blocked (reflected amplitude
@@ -237,9 +252,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V,
     the ratio; the standard error follows Poisson propagation,
     stderr = |k| sqrt(1/N + 1/(N_u + N_l)).
     """
-    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
-    cfg = _perturbed(case_ii(visibility=noise.visibility), noise, "estimate-k")
-    cfg = cfg.with_phi(phi0 - noise.phase_offset_error)
+    phi0 = _calibrated_phi0(noise)
+    cfg = _apparatus(case_ii, noise, "estimate-k", phi0)
     t = noise.source.integration_time
     dark = noise.detector.dark_rate * t
     records = []
@@ -264,8 +278,7 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V,
     return ExperimentReport("estimate-k", _profile_echo(noise), records, derived)
 
 
-def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V,
-                   n_points: int = 40, phi0: float | None = None) -> ExperimentReport:
+def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Fringe-phase comparison of the commutator output against a sigma_y reference.
 
     An outer interferometer interferes the inner D2 (commutator) output
@@ -273,24 +286,14 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V,
     fringe-phase difference between this scan and a reference-vs-reference
     scan is the phase of k (pi/2 ideally).
     """
-    phi0 = _calibrated_phi0(noise) if phi0 is None else phi0
-    inner = _perturbed(case_ii(visibility=noise.visibility), noise, "phase-of-k")
-    inner = inner.with_phi(phi0 - noise.phase_offset_error)
-    m_com = port_operator(inner, Port.D2)
-    m_ref = SIGMA_Y
-    phis = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n_points)
-    records = []
-    fits = {}
-    for scan_label, (m1, m2) in (("commutator", (m_com, m_ref)),
-                                 ("reference", (m_ref, m_ref))):
-        counts = []
-        for i, phi in enumerate(phis):
-            p = interference_probability(m1, m2, float(phi) - noise.phase_offset_error,
-                                         noise.visibility, psi0)
-            rec = _record(p, noise, f"arg-k:{scan_label}", float(phi), Port.D2, i)
-            records.append(rec)
-            counts.append(rec.counts)
-        fit = fit_sinusoid(phis, counts)
+    phi0 = _calibrated_phi0(noise)
+    m_com = port_operator(_apparatus(case_ii, noise, "phase-of-k", phi0), Port.D2)
+    records, fits = [], {}
+    for scan_label, (m1, m2) in (("commutator", (m_com, SIGMA_Y)),
+                                 ("reference", (SIGMA_Y, SIGMA_Y))):
+        scan = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}", ((Port.D2, 1.0),))
+        records += scan
+        fit = fit_sinusoid(_SCAN_PHIS, [rec.counts for rec in scan])
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:
             raise DegenerateScan(f"{scan_label} scan has no usable fringe")
         fits[scan_label] = fit
@@ -302,7 +305,7 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V,
     if not noise.exact_probabilities:
         derived["arg_k_err"] = math.hypot(fits["commutator"].phase_stderr,
                                           fits["reference"].phase_stderr)
-    return ExperimentReport("phase-of-k", _profile_echo(noise, n_points=n_points),
+    return ExperimentReport("phase-of-k", _profile_echo(noise, n_points=N_SCAN_POINTS),
                             records, derived)
 
 

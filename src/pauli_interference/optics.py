@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class WavePlate:
     def __post_init__(self):
         if not 0.0 < self.retardance < 2.0 * math.pi:
             raise ValueError(f"retardance {self.retardance} outside (0, 2*pi)")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"plate angle {self.angle} is not finite")
         object.__setattr__(self, "angle", self.angle % math.pi)
 
 
@@ -94,9 +96,6 @@ class InterferometerConfig:
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
-
-    def with_phi(self, phi: float) -> "InterferometerConfig":
-        return replace(self, phi=phi)
 
 
 def case_i(phi: float = 0.0, visibility: float = 1.0, **kw) -> InterferometerConfig:

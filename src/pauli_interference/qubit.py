@@ -63,7 +63,7 @@ class PureState:
 
     def __post_init__(self):
         norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm2 - 1.0) > 1e-12:
+        if not abs(norm2 - 1.0) <= 1e-12:  # written so that NaN fails
             raise ValueError(f"state not normalized: |alpha|^2+|beta|^2 = {norm2!r}")
 
     @classmethod

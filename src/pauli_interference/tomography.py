@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyData, NotUnitary, SingularSystem
+from .errors import EmptyData, NotUnitary
 from .qubit import (IDENTITY, PAULI_BASIS, PAULI_LABELS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                     STATE_A, STATE_D, STATE_H, STATE_L, STATE_R, STATE_V, is_unitary)
 
@@ -49,10 +49,12 @@ def tomography_settings() -> tuple[MeasurementSetting, ...]:
                  for lbl in SETTING_LABELS)
 
 
+_SETTINGS = tomography_settings()
+
+
 def setting_probabilities(rho: np.ndarray) -> dict[str, float]:
     """Born probabilities tr(P rho) for all six settings."""
-    return {s.label: float(np.trace(s.projector @ rho).real)
-            for s in tomography_settings()}
+    return {s.label: float(np.trace(s.projector @ rho).real) for s in _SETTINGS}
 
 
 def _check_pairs(counts: dict[str, float]) -> None:
@@ -215,6 +217,18 @@ def chi_of_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.outer(c, c.conj())
 
 
+# The chi system maps chi to the images of the matrix units |i><j|, stacked
+# in (i, j) order: column 4m+n holds E_m |i><j| E_n^dag.  Its entries are 0,
+# +-1 and +-i, and it has full rank, so it is built and trusted once.
+_CHI_SYSTEM = np.array([np.concatenate([(e_m @ np.outer(IDENTITY[i], IDENTITY[j])
+                                         @ e_n.conj().T).reshape(4)
+                                        for i in range(2) for j in range(2)])
+                        for e_m in PAULI_BASIS for e_n in PAULI_BASIS]).T
+# E_n^dag E_m, m-major: the order of the trace-preservation sum fixes its last bits
+_TP_PRODUCTS = tuple((m, n, PAULI_BASIS[n].conj().T @ PAULI_BASIS[m])
+                     for m in range(4) for n in range(4))
+
+
 @dataclass(frozen=True)
 class ChiResult:
     chi: np.ndarray
@@ -236,25 +250,12 @@ def qpt_reconstruct(outputs: dict[str, np.ndarray]) -> ChiResult:
         raise ValueError(f"missing QPT inputs: {missing}")
     oh, ov, od, orr = (np.asarray(outputs[l], complex) for l in QPT_INPUT_LABELS)
     e_hv = od - 1j * orr - 0.5 * (1 - 1j) * (oh + ov)
-    images = {(0, 0): oh, (1, 1): ov, (0, 1): e_hv, (1, 0): e_hv.conj().T}
-
-    system = np.zeros((16, 16), dtype=complex)
-    target = np.zeros(16, dtype=complex)
-    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        target[4 * k:4 * k + 4] = images[i, j].reshape(4)
-        unit = np.outer(IDENTITY[i], IDENTITY[j])
-        for m in range(4):
-            for n in range(4):
-                col = (PAULI_BASIS[m] @ unit @ PAULI_BASIS[n].conj().T).reshape(4)
-                system[4 * k:4 * k + 4, 4 * m + n] = col
-    if np.linalg.matrix_rank(system) < 16:
-        raise SingularSystem("QPT input set does not span the operator space")
-    chi = np.linalg.solve(system, target).reshape(4, 4)
+    target = np.concatenate([m.reshape(4) for m in (oh, e_hv, e_hv.conj().T, ov)])
+    chi = np.linalg.solve(_CHI_SYSTEM, target).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
 
     psd_dev = float(max(0.0, -np.linalg.eigvalsh(chi).min()))
-    tp = sum(chi[m, n] * (PAULI_BASIS[n].conj().T @ PAULI_BASIS[m])
-             for m in range(4) for n in range(4))
+    tp = sum(chi[m, n] * product for m, n, product in _TP_PRODUCTS)
     tp_dev = float(np.abs(tp - IDENTITY).max())
     return ChiResult(chi=chi, psd_deviation=psd_dev, trace_preservation_deviation=tp_dev)
 

@@ -76,7 +76,11 @@ def test_bad_config_file(tmp_path, capsys):
     '[1, 2]',
     '{"noise": {"source": {"pair_rate": -1}}}',
     '{"noise": {"waveplate_angle_sigma": NaN}}',
-], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma"])
+    '{"input_state": {"hwp": NaN, "qwp": 0}}',
+    '{"noise": {"source": {"pair_rate": 1e308}}}',
+    '{"noise": {"detector": {"dark_rate": 1e308}}}',
+], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
+        "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

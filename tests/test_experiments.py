@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pauli_interference import optics
 from pauli_interference.errors import DegenerateScan
 from pauli_interference.experiments import (NoiseProfile, estimate_k_magnitude,
                                             mean_qpt_fidelity, run_case_comparison,
@@ -27,6 +28,29 @@ def test_phase_scan_recovers_injected_visibility():
     assert derived["d1_fringe_visibility"] == pytest.approx(0.9, abs=0.02)
     assert derived["d2_fringe_visibility"] == pytest.approx(0.9, abs=0.02)
     assert "d1_fringe_visibility_err" in derived
+
+
+def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
+    # a scan sweeps phi over fixed arms: the four plates' matrices are built
+    # once per apparatus, not once per phase point
+    built = []
+    original = optics.waveplate_matrix
+    monkeypatch.setattr(optics, "waveplate_matrix",
+                        lambda wp: built.append(wp) or original(wp))
+    noise = NoiseProfile(phase_offset_error=0.3, master_seed=8)
+    run_phase_scan(noise)
+    assert len(built) <= 4
+    built.clear()
+    run_phase_of_k(noise)  # the calibration scan, then the inner apparatus
+    assert len(built) <= 8
+
+
+def test_noise_profile_rejects_counts_beyond_poisson_sampler():
+    # the CLI table covers huge rates; here the integration time and the limit
+    with pytest.raises(ValueError):
+        NoiseProfile(detector=DetectorModel(dark_rate=1e17),
+                     source=SourceModel(integration_time=100.0))
+    NoiseProfile(source=SourceModel(pair_rate=1e17, integration_time=10.0))
 
 
 def test_phase_scan_recovers_injected_phase_offset():

@@ -2,11 +2,11 @@
 
 The digests pin the byte-identical output guarantee across refactors, not
 only between two runs of the same code. They cover the README's example
-config for every experiment whose output does not pass through the
-maximum-likelihood fit (sampled qpt and calibrate-noise are left out: an
-MLE solver change may move their last digits). Recorded with Python 3.11,
-numpy 2.4 on x86-64; another numpy/BLAS build may move the last digit of
-a float and needs new digests.
+config for every experiment in sampled and exact modes. Sampled qpt is
+pinned too: its maximum-likelihood state fit (tomography.qst_mle) is a
+deterministic closed form. calibrate-noise is left out because it runs
+hundreds of QPTs. Recorded with Python 3.11, numpy 2.4 on x86-64; another
+numpy/BLAS build may move the last digit of a float and needs new digests.
 """
 
 import hashlib
@@ -46,6 +46,8 @@ GOLDEN = {
                             "a1df2169bb3fb58c4f69be06a433be762c89cab4b2c2b3514a23b9ceac82eb08"),
     ("phase-of-k", True): ("9c28b214f4b9519eb6d9e1a70ac7201c35d63510ca02b18599e721e6c741589b",
                            "379a1ca7478c594c31fbea7a6bc62daa62f22722438ab8f8988a322ac17fc6ef"),
+    ("qpt", False): ("b0bd1a777b679a16366bf14e6916bbd58031b6732557960f26fdf31af341c232",
+                     "bccd727c4be2696b2aed86a2fffbcf4a1fe109dd17424ecfd835d2717243a414"),
     ("qpt", True): ("bdf8adb7975931e310aff02688a4ada5835c93c08b39829ec703352aa2ffa482",
                     "6f1742b7d1cf1c2092f7c930b4e2878d7ad7b6090bd3241e4845e4caf7e4470f"),
 }

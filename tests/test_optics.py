@@ -20,6 +20,9 @@ def test_waveplate_validation():
         WavePlate(0.0, 0.0)
     with pytest.raises(ValueError):
         WavePlate(2 * math.pi, 0.0)
+    for angle in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            WavePlate(math.pi, angle)
     assert WavePlate(math.pi, math.pi + 0.1).angle == pytest.approx(0.1)
 
 

@@ -83,8 +83,9 @@ def test_apply_unitary_preserves_norm(theta, phase, j, k):
 
 
 def test_pure_state_normalization_enforced():
-    with pytest.raises(ValueError):
-        PureState(1.0, 1.0)
+    for alpha in (1.0, float("nan")):
+        with pytest.raises(ValueError):
+            PureState(alpha, 1.0)
     s = PureState.from_vector([3.0, 4.0])
     assert abs(abs(s.alpha) ** 2 + abs(s.beta) ** 2 - 1) <= 1e-12
 
