@@ -46,6 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: parse_args leaves the parser unchanged, and building it costs
+# several times as much as parsing
+PARSER = build_parser()
+
+
 def load_config(args) -> dict:
     """Parse the --config file once; an absent file is an empty config."""
     if args.config is None:
@@ -145,7 +150,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return run(args)
     except ConfigError as exc:

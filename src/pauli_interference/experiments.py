@@ -4,7 +4,10 @@ proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 
 Each run builds its interferometer once (``_apparatus``); the phi0
 calibration and the phase-of-k scans sweep the mirror phase over arm
-operators computed once (``_fringe_scan``).  All randomness flows from
+operators computed once (``_fringe_scan``), each port's probabilities over
+the whole phase grid in one array pass.  ``_record`` turns probabilities
+into count records for every run but QPT, which counts its tomography
+settings itself.  All randomness flows from
 ``NoiseProfile.master_seed`` through the stable per-setting seed
 derivation in :mod:`photon_stats`, so a report is a pure function of its
 profile.  With ``exact_probabilities`` set, Poisson sampling is bypassed
@@ -109,26 +112,32 @@ def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> Interfe
     return replace(cfg, **plates)
 
 
-def _record(p: float, noise: NoiseProfile, label: str, phi: float, port: Port,
-            index: int) -> CountRecord:
-    rate = expected_rate(p, noise.source, noise.detector)
+def _record(p, noise: NoiseProfile, label: str, phis: list[float],
+            ports: tuple[Port, ...]) -> list[CountRecord]:
+    """Count records for the click probabilities p[i][j] at mirror phase phis[i]
+    and port ports[j], phi-major; a sampled count is seeded by (label, port, i)."""
+    rate = expected_rate(np.asarray(p), noise.source, noise.detector)
     t = noise.source.integration_time
     if noise.exact_probabilities:
-        counts = rate * t
+        counts = (rate * t).tolist()
     else:
-        counts = sample_counts(rate, t, derive_seed(noise.master_seed,
-                                                    f"{label}:{port.value}", index))
-    return CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=counts)
+        counts = [[sample_counts(r, t, derive_seed(noise.master_seed,
+                                                   f"{label}:{port.value}", i))
+                   for r, port in zip(row, ports)]
+                  for i, row in enumerate(rate.tolist())]
+    return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
+            for phi, row in zip(phis, counts) for port, n in zip(ports, row)]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
                  label: str, outputs: tuple) -> list[CountRecord]:
     """Records of a mirror-phase scan over fixed arm operators a, b, phi-major;
-    ``outputs`` lists the (recorded port, cross-term sign) pairs at each phase."""
-    return [_record(interference_probability(a, b, float(phi) - noise.phase_offset_error,
-                                             noise.visibility, psi0, sign),
-                    noise, label, float(phi), port, i)
-            for i, phi in enumerate(_SCAN_PHIS) for port, sign in outputs]
+    ``outputs`` lists the (recorded port, cross-term sign) pairs at each phase.
+    Each output's probabilities over the whole phi grid are one array pass."""
+    phis = _SCAN_PHIS - noise.phase_offset_error
+    p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
+                         for _, sign in outputs])
+    return _record(p, noise, label, _SCAN_PHIS.tolist(), tuple(port for port, _ in outputs))
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -172,18 +181,16 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     phi0 = _calibrated_phi0(noise)
     derived: dict = {"phi0": phi0}
     records = []
+    ports = (Port.D1, Port.D2)
     for case_name, builder in (("I", case_i), ("II", case_ii)):
         cfg = _apparatus(builder, noise, f"case-{case_name}", phi0)
-        counts = {}
-        for port in (Port.D1, Port.D2):
-            p = detection_probability(cfg, port, psi0)
-            rec = _record(p, noise, f"case-{case_name}", phi0, port, 0)
-            records.append(rec)
-            counts[port] = rec.counts
-        total = counts[Port.D1] + counts[Port.D2]
-        for port in (Port.D1, Port.D2):
-            key = f"case_{case_name}_{port.value}"
-            derived[key] = counts[port] / total if total > 0 else 0.0
+        recs = _record([[detection_probability(cfg, port, psi0) for port in ports]],
+                       noise, f"case-{case_name}", [phi0], ports)
+        records += recs
+        total = sum(rec.counts for rec in recs)
+        for rec in recs:
+            key = f"case_{case_name}_{rec.port.value}"
+            derived[key] = rec.counts / total if total > 0 else 0.0
             if not noise.exact_probabilities and total > 0:
                 # binomial stderr of the normalized rate
                 q = derived[key]
@@ -261,9 +268,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     sub_runs = (("open", {}), ("block-transmitted", {"block_transmitted": True}),
                 ("block-reflected", {"block_reflected": True}))
     for label, blocks in sub_runs:
-        sub = replace(cfg, **blocks)
-        p = detection_probability(sub, Port.D2, psi0)
-        rec = _record(p, noise, f"k:{label}", phi0, Port.D2, 0)
+        p = detection_probability(replace(cfg, **blocks), Port.D2, psi0)
+        [rec] = _record([[p]], noise, f"k:{label}", [phi0], (Port.D2,))
         records.append(rec)
         corrected[label] = max(rec.counts - dark, 0.0)
     n_open = corrected["open"]

@@ -98,17 +98,17 @@ class InterferometerConfig:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
 
 
-def case_i(phi: float = 0.0, visibility: float = 1.0, **kw) -> InterferometerConfig:
+def case_i(phi: float = 0.0, visibility: float = 1.0) -> InterferometerConfig:
     """All four plates set to sigma_z (HWP at 0)."""
     z = half_wave(0.0)
-    return InterferometerConfig(z, z, z, z, phi=phi, visibility=visibility, **kw)
+    return InterferometerConfig(z, z, z, z, phi=phi, visibility=visibility)
 
 
-def case_ii(phi: float = 0.0, visibility: float = 1.0, **kw) -> InterferometerConfig:
+def case_ii(phi: float = 0.0, visibility: float = 1.0) -> InterferometerConfig:
     """sigma1 = sigma4 = sigma_x (HWP at 45 deg), sigma2 = sigma3 = sigma_z."""
     z = half_wave(0.0)
     x = half_wave(math.pi / 4)
-    return InterferometerConfig(x, z, z, x, phi=phi, visibility=visibility, **kw)
+    return InterferometerConfig(x, z, z, x, phi=phi, visibility=visibility)
 
 
 def arm_operators(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -135,25 +135,32 @@ def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
     return 0.5 * (a * ph - b)
 
 
-def interference_probability(a: np.ndarray, b: np.ndarray, phi: float, visibility: float,
-                             psi0: PureState, sign: float = 1.0) -> float:
+def interference_probability(a: np.ndarray, b: np.ndarray, phi: float | np.ndarray,
+                             visibility: float, psi0: PureState,
+                             sign: float = 1.0) -> float | np.ndarray:
     """Click probability behind the beam splitter that recombines arms A and B.
 
     p = (1/4)(|A psi|^2 + |B psi|^2 + sign 2 V Re(e^{i phi} <B psi|A psi>)),
-    clamped to [0, 1].  Visibility scales only the cross term.
+    clamped to [0, 1].  Visibility scales only the cross term.  ``phi`` may
+    be a scalar or an array (one fringe scan in one pass); p has its shape.
+    The real part of the cross term is written out: numpy's vectorised
+    complex product rounds differently from the scalar one, so
+    ``(overlap * turn).real`` would move the last bit of some scan points.
     """
     av, bv = a @ psi0.vector, b @ psi0.vector
-    cross = np.vdot(bv, av) * np.exp(1j * phi)
+    overlap = np.vdot(bv, av)
+    turn = np.exp(1j * phi)
+    cross = overlap.real * turn.real - overlap.imag * turn.imag
     p = 0.25 * (np.vdot(av, av).real + np.vdot(bv, bv).real
-                + sign * 2.0 * visibility * cross.real)
-    return float(min(max(p, 0.0), 1.0))
+                + sign * 2.0 * visibility * cross)
+    return np.clip(p, 0.0, 1.0)
 
 
 def detection_probability(cfg: InterferometerConfig, port: Port, psi0: PureState) -> float:
     """Click probability at a port for input state psi0: sign + for D1, - for D2."""
     a, b = arm_operators(cfg)
-    return interference_probability(a, b, cfg.phi, cfg.visibility, psi0,
-                                    1.0 if port is Port.D1 else -1.0)
+    return float(interference_probability(a, b, cfg.phi, cfg.visibility, psi0,
+                                          1.0 if port is Port.D1 else -1.0))
 
 
 def conditional_output_state(cfg: InterferometerConfig, port: Port,

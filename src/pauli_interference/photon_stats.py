@@ -60,9 +60,10 @@ class CountRecord:
             raise ValueError("duration must be > 0")
 
 
-def expected_rate(p: float, src: SourceModel, det: DetectorModel) -> float:
-    """Coincidences per second for click probability p."""
-    if not 0.0 <= p <= 1.0:
+def expected_rate(p: float | np.ndarray, src: SourceModel,
+                  det: DetectorModel) -> float | np.ndarray:
+    """Coincidences per second for click probability p, a scalar or an array."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"probability {p} outside [0, 1]")
     return src.pair_rate * det.efficiency * p + det.dark_rate
 

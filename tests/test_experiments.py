@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pauli_interference import optics
+from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
 from pauli_interference.experiments import (NoiseProfile, estimate_k_magnitude,
                                             mean_qpt_fidelity, run_case_comparison,
@@ -32,17 +32,24 @@ def test_phase_scan_recovers_injected_visibility():
 
 def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
     # a scan sweeps phi over fixed arms: the four plates' matrices are built
-    # once per apparatus, not once per phase point
-    built = []
+    # once per apparatus, not once per phase point, and each recorded port's
+    # probabilities over the whole phi grid come from one kernel call
+    built, kernel_calls = [], []
     original = optics.waveplate_matrix
     monkeypatch.setattr(optics, "waveplate_matrix",
                         lambda wp: built.append(wp) or original(wp))
+    kernel = experiments.interference_probability
+    monkeypatch.setattr(experiments, "interference_probability",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
     noise = NoiseProfile(phase_offset_error=0.3, master_seed=8)
     run_phase_scan(noise)
     assert len(built) <= 4
+    assert len(kernel_calls) <= 2
     built.clear()
+    kernel_calls.clear()
     run_phase_of_k(noise)  # the calibration scan, then the inner apparatus
     assert len(built) <= 8
+    assert len(kernel_calls) <= 4
 
 
 def test_noise_profile_rejects_counts_beyond_poisson_sampler():

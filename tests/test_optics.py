@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pauli_interference import experiments
 from pauli_interference.errors import ZeroProbability
-from pauli_interference.optics import (InterferometerConfig, Port, WavePlate, case_i,
-                                       case_ii, conditional_output_state,
-                                       detection_probability, half_wave, port_operator,
+from pauli_interference.optics import (InterferometerConfig, Port, WavePlate, arm_operators,
+                                       case_i, case_ii, conditional_output_state,
+                                       detection_probability, half_wave,
+                                       interference_probability, port_operator,
                                        prepare_state, quarter_wave, waveplate_matrix)
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState,
                                       STATE_H, STATE_V, is_hermitian, is_unitary)
@@ -110,6 +112,21 @@ def test_detection_probability_zero_visibility():
         cfg = case_ii(phi=phi, visibility=0.0)
         for port in Port:
             assert detection_probability(cfg, port, STATE_V) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_interference_probability_array_is_bit_identical_to_scalar():
+    # numpy's vectorised complex product rounds differently from the scalar
+    # one; on these perturbed arms Re(overlap * e^{i phi}) taken from the
+    # complex product moves the last bit of some scan points
+    noise = experiments.NoiseProfile(waveplate_angle_sigma=0.05, master_seed=7)
+    a, b = arm_operators(experiments._apparatus(case_i, noise, "phase-scan", 0.0))
+    psi = prepare_state(half_wave(0.3927), quarter_wave(0.0))
+    phis = experiments._SCAN_PHIS - 0.1
+    for sign in (1.0, -1.0):
+        p = interference_probability(a, b, phis, 0.95, psi, sign)
+        assert p.shape == phis.shape
+        assert p.tolist() == [float(interference_probability(a, b, float(phi), 0.95, psi, sign))
+                              for phi in phis]
 
 
 def _random_config(rng, phi=None):

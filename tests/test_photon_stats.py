@@ -18,6 +18,13 @@ def test_expected_rate_linear_model():
     assert expected_rate(0.5, src, DetectorModel(efficiency=1.0, dark_rate=10.0)) == 510.0
     with pytest.raises(ValueError):
         expected_rate(1.5, src, DetectorModel())
+    det = DetectorModel(efficiency=0.5, dark_rate=10.0)
+    ps = np.array([0.0, 0.25, 1.0])
+    assert expected_rate(ps, src, det).tolist() == [expected_rate(float(p), src, det)
+                                                    for p in ps]
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError):
+            expected_rate(np.array([0.5, bad]), src, det)
 
 
 def test_model_validation():
