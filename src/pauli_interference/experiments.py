@@ -7,7 +7,8 @@ calibration and the phase-of-k scans sweep the mirror phase over arm
 operators computed once (``_fringe_scan``), each port's probabilities over
 the whole phase grid in one array pass.  ``_record`` turns probabilities
 into count records for every run but QPT, which counts its tomography
-settings itself.  All randomness flows from
+settings itself.  Each run's sampled counts are drawn in one batch per
+record set (``photon_stats.sample_counts``).  All randomness flows from
 ``NoiseProfile.master_seed`` through the stable per-setting seed
 derivation in :mod:`photon_stats`, so a report is a pure function of its
 profile.  With ``exact_probabilities`` set, Poisson sampling is bypassed
@@ -112,21 +113,22 @@ def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> Interfe
     return replace(cfg, **plates)
 
 
-def _record(p, noise: NoiseProfile, label: str, phis: list[float],
+def _record(p, noise: NoiseProfile, rows: list[tuple[str, float, int]],
             ports: tuple[Port, ...]) -> list[CountRecord]:
-    """Count records for the click probabilities p[i][j] at mirror phase phis[i]
-    and port ports[j], phi-major; a sampled count is seeded by (label, port, i)."""
-    rate = expected_rate(np.asarray(p), noise.source, noise.detector)
+    """Count records for the click probabilities p[i][j] at row i = (setting
+    label, mirror phase, seed index) and port ports[j], row-major; a sampled
+    count is seeded by (label, port, index), and all are drawn in one batch."""
+    rate = expected_rate(np.asarray(p), noise.source, noise.detector).ravel()
     t = noise.source.integration_time
     if noise.exact_probabilities:
         counts = (rate * t).tolist()
     else:
-        counts = [[sample_counts(r, t, derive_seed(noise.master_seed,
-                                                   f"{label}:{port.value}", i))
-                   for r, port in zip(row, ports)]
-                  for i, row in enumerate(rate.tolist())]
+        counts = sample_counts(rate, t, [derive_seed(noise.master_seed,
+                                                     f"{label}:{port.value}", i)
+                                         for label, _, i in rows for port in ports])
+    cells = [(label, phi, port) for label, phi, _ in rows for port in ports]
     return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
-            for phi, row in zip(phis, counts) for port, n in zip(ports, row)]
+            for (label, phi, port), n in zip(cells, counts)]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
@@ -137,7 +139,8 @@ def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureSt
     phis = _SCAN_PHIS - noise.phase_offset_error
     p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
                          for _, sign in outputs])
-    return _record(p, noise, label, _SCAN_PHIS.tolist(), tuple(port for port, _ in outputs))
+    rows = [(label, phi, i) for i, phi in enumerate(_SCAN_PHIS.tolist())]
+    return _record(p, noise, rows, tuple(port for port, _ in outputs))
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -180,13 +183,12 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     """Normalized D1/D2 rates for case I vs case II at the calibrated phase."""
     phi0 = _calibrated_phi0(noise)
     derived: dict = {"phi0": phi0}
-    records = []
     ports = (Port.D1, Port.D2)
-    for case_name, builder in (("I", case_i), ("II", case_ii)):
-        cfg = _apparatus(builder, noise, f"case-{case_name}", phi0)
-        recs = _record([[detection_probability(cfg, port, psi0) for port in ports]],
-                       noise, f"case-{case_name}", [phi0], ports)
-        records += recs
+    cases = (("I", case_i), ("II", case_ii))
+    p = [[detection_probability(_apparatus(builder, noise, f"case-{name}", phi0), port, psi0)
+          for port in ports] for name, builder in cases]
+    records = _record(p, noise, [(f"case-{name}", phi0, 0) for name, _ in cases], ports)
+    for (case_name, _), recs in zip(cases, (records[:2], records[2:])):
         total = sum(rec.counts for rec in recs)
         for rec in recs:
             key = f"case_{case_name}_{rec.port.value}"
@@ -195,12 +197,15 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
                 # binomial stderr of the normalized rate
                 q = derived[key]
                 derived[key + "_err"] = math.sqrt(max(q * (1 - q), 1.0 / total) / total)
-    tol = 1e-9 if noise.exact_probabilities else 5.0 * max(
-        derived.get(k + "_err", 0.0)
-        for k in ("case_I_D1", "case_I_D2", "case_II_D1", "case_II_D2"))
-    derived["pi_shift_verdict"] = bool(
-        abs(derived["case_I_D1"] - derived["case_II_D2"]) <= tol
-        and abs(derived["case_I_D2"] - derived["case_II_D1"]) <= tol)
+
+    def exchanged(a: str, b: str) -> bool:
+        # a difference of two independent rates: its stderr adds theirs in quadrature
+        tol = 1e-9 if noise.exact_probabilities else 5.0 * math.hypot(
+            derived.get(a + "_err", 0.0), derived.get(b + "_err", 0.0))
+        return abs(derived[a] - derived[b]) <= tol
+
+    derived["pi_shift_verdict"] = (exchanged("case_I_D1", "case_II_D2")
+                                   and exchanged("case_I_D2", "case_II_D1"))
     return ExperimentReport("case-compare", _profile_echo(noise), records, derived)
 
 
@@ -215,23 +220,28 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "qpt", phi0)
     t = noise.source.integration_time
-    records, outputs, mle_converged = [], {}, True
+    rates, cells = [], []
     for label in QPT_INPUT_LABELS:
         psi = QPT_INPUT_STATES[label]
         rho_out = conditional_output_state(cfg, Port.D2, psi.density())
         p_port = detection_probability(cfg, Port.D2, psi)
         probs = setting_probabilities(rho_out)
-        counts = {}
         for i, (setting, p_j) in enumerate(sorted(probs.items())):
-            rate = max(noise.source.pair_rate * noise.detector.efficiency
-                       * p_port * p_j, 0.0) + noise.detector.dark_rate
-            if noise.exact_probabilities:
-                n = rate * t
-            else:
-                n = sample_counts(rate, t, derive_seed(noise.master_seed,
-                                                       f"qpt:{label}:{setting}", i))
-            counts[setting] = n
-            records.append(CountRecord(f"qpt:{label}:{setting}", phi0, Port.D2, t, n))
+            rates.append(max(noise.source.pair_rate * noise.detector.efficiency
+                             * p_port * p_j, 0.0) + noise.detector.dark_rate)
+            cells.append((label, setting, i))
+    if noise.exact_probabilities:
+        all_counts = [rate * t for rate in rates]
+    else:
+        all_counts = sample_counts(rates, t, [derive_seed(noise.master_seed,
+                                                          f"qpt:{label}:{setting}", i)
+                                              for label, setting, i in cells])
+    records, by_input = [], {label: {} for label in QPT_INPUT_LABELS}
+    for (label, setting, _), n in zip(cells, all_counts):
+        by_input[label][setting] = n
+        records.append(CountRecord(f"qpt:{label}:{setting}", phi0, Port.D2, t, n))
+    outputs, mle_converged = {}, True
+    for label, counts in by_input.items():
         if noise.exact_probabilities:
             outputs[label] = qst_linear(counts).rho
         else:
@@ -261,17 +271,15 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "estimate-k", phi0)
-    t = noise.source.integration_time
-    dark = noise.detector.dark_rate * t
-    records = []
-    corrected = {}
+    dark = noise.detector.dark_rate * noise.source.integration_time
     sub_runs = (("open", {}), ("block-transmitted", {"block_transmitted": True}),
                 ("block-reflected", {"block_reflected": True}))
-    for label, blocks in sub_runs:
-        p = detection_probability(replace(cfg, **blocks), Port.D2, psi0)
-        [rec] = _record([[p]], noise, f"k:{label}", [phi0], (Port.D2,))
-        records.append(rec)
-        corrected[label] = max(rec.counts - dark, 0.0)
+    p = [[detection_probability(replace(cfg, **blocks), Port.D2, psi0)]
+         for _, blocks in sub_runs]
+    records = _record(p, noise, [(f"k:{label}", phi0, 0) for label, _ in sub_runs],
+                      (Port.D2,))
+    corrected = {label: max(rec.counts - dark, 0.0)
+                 for (label, _), rec in zip(sub_runs, records)}
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
     if n_split <= 0:

@@ -1,13 +1,18 @@
 """Poissonian coincidence counting, fringe fitting, and phase calibration.
 
-Seed derivation rule (stable across runs and platforms): the per-setting
-seed is the first 8 bytes, little endian, of
-SHA-256("{master_seed}:{label}:{index}").
+Sampling rule (stable across runs and platforms): the per-setting seed is
+the first 8 bytes, little endian, of SHA-256("{master_seed}:{label}:{index}"),
+and the count at mean rate*t is np.random.default_rng(seed).poisson(rate*t),
+0 when the mean is 0.  Counts are drawn one batch per record set:
+``sample_counts`` hashes every seed of the batch into its PCG64 state words
+in one array pass (``_pcg64_state_words``), bit for bit what
+``default_rng(seed)`` would compute one seed at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -73,14 +78,117 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def sample_counts(rate: float, duration: float, seed: int) -> int:
-    """One Poisson draw with mean rate*duration, reproducible for a given seed."""
-    if rate < 0:
+# numpy.random.SeedSequence's hash (pool size 4, 32-bit words): every seed
+# below 2**64 is the entropy [low word, high word], padded with zeros to the
+# pool.  The multipliers of both hash chains step the same way for every
+# seed, so they are tabulated once.
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.array(0xca01f9dd, dtype=np.uint32)
+_MIX_MULT_R = np.array(0x4973f715, dtype=np.uint32)
+
+
+def _hash_chain(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of n successive hashmix steps of one chain."""
+    xors, mults, h = [], [], init
+    for _ in range(n):
+        xors.append(h)
+        h = h * mult & _MASK32
+        mults.append(h)
+    return (np.array(xors, dtype=np.uint32)[:, None],
+            np.array(mults, dtype=np.uint32)[:, None])
+
+
+# mix_entropy: 4 hashmix steps fill the pool, then 12 mix it, 3 per source word
+_ENTROPY_XOR, _ENTROPY_MULT = _hash_chain(0x43b0d7e5, 0x931e8875, 16)
+
+
+def _round_columns(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pool-row columns of mixing round src; the source row's are unused."""
+    dst = [d for d in range(4) if d != src]
+    xors, mults = np.zeros((4, 1), np.uint32), np.zeros((4, 1), np.uint32)
+    xors[dst] = _ENTROPY_XOR[4 + 3 * src:7 + 3 * src]
+    mults[dst] = _ENTROPY_MULT[4 + 3 * src:7 + 3 * src]
+    return xors, mults
+
+
+_MIX_ROUNDS = [_round_columns(src) for src in range(4)]
+# generate_state(4, uint64): 8 output words, cycling over the pool twice
+_STATE_XOR, _STATE_MULT = _hash_chain(0x8b51f9dd, 0x58f38ded, 8)
+
+
+def _pcg64_state_words(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) of every seed s < 2**64, as rows.
+
+    Works on uint32 arrays throughout, where products wrap silently (a numpy
+    uint32 scalar product would warn).  Within a mixing round the source word
+    does not change, so each round updates the other three rows at once.
+    """
+    s = np.array(seeds, dtype=np.uint64, ndmin=1)
+    pool = np.zeros((4, s.size), dtype=np.uint32)
+    pool[0] = s & np.uint64(_MASK32)
+    pool[1] = s >> np.uint64(32)
+    pool ^= _ENTROPY_XOR[:4]
+    pool *= _ENTROPY_MULT[:4]
+    pool ^= pool >> _XSHIFT
+    h = np.empty_like(pool)
+    for src, (xors, mults) in enumerate(_MIX_ROUNDS):
+        np.bitwise_xor(pool[src], xors, out=h)
+        h *= mults
+        h ^= h >> _XSHIFT
+        kept = pool[src].copy()
+        # mix(x, y) = (MIX_MULT_L*x - MIX_MULT_R*y) ^ shifted self
+        pool *= _MIX_MULT_L
+        pool -= h * _MIX_MULT_R
+        pool ^= pool >> _XSHIFT
+        pool[src] = kept
+    state = np.concatenate((pool, pool))
+    state ^= _STATE_XOR
+    state *= _STATE_MULT
+    state ^= state >> _XSHIFT
+    # pairs of 32-bit words read as little-endian 64-bit words, as numpy does
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """A seed-sequence type that hands PCG64 state words already computed.
+
+    Built on first use: importing numpy.random costs about 2.6 MB, which a
+    run that draws nothing (exact probabilities) should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def sample_counts(rate, duration: float, seed):
+    """Poisson draws with mean rate*duration, reproducible for a given seed.
+
+    ``rate`` and ``seed`` are a scalar, giving an ``int``, or equal-length
+    arrays, giving a list of ``int``; each count is
+    ``np.random.default_rng(seed).poisson(rate*duration)``, 0 at mean 0.
+    """
+    means = np.asarray(rate, dtype=float)
+    if not np.all(means >= 0):
         raise ValueError("rate must be >= 0")
-    mean = rate * duration
-    if mean == 0.0:
-        return 0
-    return int(np.random.default_rng(seed).poisson(mean))
+    means = means * duration
+    words = _pcg64_state_words(seed)
+    if len(words) != means.size:
+        raise ValueError("rate and seed must have equal lengths")
+    state_words, generator, pcg64 = _state_words_type(), np.random.Generator, np.random.PCG64
+    counts = [int(generator(pcg64(state_words(w))).poisson(m)) if m else 0
+              for w, m in zip(words, np.ravel(means).tolist())]
+    return counts[0] if means.ndim == 0 else counts
 
 
 def records_to_csv(records: list[CountRecord]) -> str:

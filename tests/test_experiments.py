@@ -10,6 +10,7 @@ from pauli_interference.experiments import (NoiseProfile, estimate_k_magnitude,
                                             mean_qpt_fidelity, run_case_comparison,
                                             run_commutator_qpt, run_phase_of_k,
                                             run_phase_scan)
+from pauli_interference.optics import half_wave, prepare_state, quarter_wave
 from pauli_interference.photon_stats import DetectorModel, SourceModel
 from pauli_interference.qubit import PureState
 
@@ -52,6 +53,24 @@ def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
     assert len(kernel_calls) <= 4
 
 
+def test_each_record_set_is_one_poisson_batch(monkeypatch):
+    # every sampled record set draws its counts in one sample_counts call:
+    # the phi0 calibration scan, then one batch per run
+    calls = []
+    sampler = experiments.sample_counts
+    monkeypatch.setattr(experiments, "sample_counts",
+                        lambda *args: calls.append(args) or sampler(*args))
+    noise = NoiseProfile(phase_offset_error=0.3, master_seed=8)
+    for run, most in ((run_phase_scan, 1), (run_phase_of_k, 3),
+                      (run_case_comparison, 2), (estimate_k_magnitude, 2)):
+        calls.clear()
+        run(noise)
+        assert len(calls) <= most, run.__name__
+    calls.clear()
+    run_commutator_qpt(NoiseProfile(master_seed=8))
+    assert len(calls) == 1
+
+
 def test_noise_profile_rejects_counts_beyond_poisson_sampler():
     # the CLI table covers huge rates; here the integration time and the limit
     with pytest.raises(ValueError):
@@ -73,6 +92,32 @@ def test_case_comparison_ideal():
     assert derived["case_II_D1"] == pytest.approx(0.0, abs=1e-9)
     assert derived["case_II_D2"] == pytest.approx(1.0, abs=1e-9)
     assert derived["pi_shift_verdict"]
+
+
+def test_case_comparison_verdict_tests_each_difference():
+    # case I D1 and case II D2 are independent rates, so their difference has
+    # stderr hypot(err_a, err_b); this profile's is 4.16 of those, within 5
+    noise = NoiseProfile(phase_offset_error=-0.11500159482935324,
+                         visibility=0.8935030397680686,
+                         detector=DetectorModel(efficiency=0.9933174916193639,
+                                                dark_rate=23.694518001334146),
+                         source=SourceModel(pair_rate=88570.1455752862),
+                         master_seed=3190805349)
+    psi = prepare_state(half_wave(3.034605301925397), quarter_wave(2.2233495585225675))
+    assert run_case_comparison(noise, psi0=psi).derived["pi_shift_verdict"] is True
+
+
+def test_case_comparison_verdict_rejects_perturbed_plates():
+    # plate errors break the exchange of the case I and case II rates.  At 1e6
+    # pairs/s the verdict rejects it on 49 of seeds 0-49; on seed 24 the rates
+    # differ by 3.6 standard errors of their difference, inside the 5-sigma
+    # test.  Ten times the counts resolve every seed.
+    for pair_rate, most_accepted in ((1e6, 1), (1e7, 0)):
+        accepted = [seed for seed in range(50) if run_case_comparison(
+            NoiseProfile(waveplate_angle_sigma=0.1, master_seed=seed,
+                         source=SourceModel(pair_rate=pair_rate))
+        ).derived["pi_shift_verdict"]]
+        assert len(accepted) <= most_accepted, (pair_rate, accepted)
 
 
 def test_case_comparison_partial_visibility():

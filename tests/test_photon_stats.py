@@ -6,8 +6,8 @@ import pytest
 from pauli_interference.errors import CalibrationInconsistent, DegenerateScan
 from pauli_interference.optics import Port
 from pauli_interference.photon_stats import (CountRecord, DetectorModel, SourceModel,
-                                             calibrate_phase, derive_seed,
-                                             expected_rate, fit_sinusoid,
+                                             _pcg64_state_words, calibrate_phase,
+                                             derive_seed, expected_rate, fit_sinusoid,
                                              records_to_csv, sample_counts)
 
 
@@ -56,6 +56,35 @@ def test_sample_counts_reproducible():
     a = [sample_counts(123.4, 2.0, derive_seed(42, "x", i)) for i in range(50)]
     b = [sample_counts(123.4, 2.0, derive_seed(42, "x", i)) for i in range(50)]
     assert a == b
+
+
+def test_sample_counts_batch_matches_numpy_seeding():
+    # the batched hash must reproduce numpy's own SeedSequence -> PCG64 seeding
+    # for every 64-bit seed: one and two 32-bit entropy words, and the edges
+    rng = np.random.default_rng(2024)
+    edges = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+    seeds = (edges + rng.integers(0, 2**64, 6000, dtype=np.uint64).tolist()
+             + rng.integers(0, 2**32, 4000, dtype=np.uint64).tolist())
+    words = _pcg64_state_words(seeds)
+    assert words.shape == (len(seeds), 4)
+    for s, row in zip(seeds, words):
+        assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+
+    # means: 0, numpy's inversion branch (< 10), its PTRS branch (>= 10), up to 1e18
+    pool = np.concatenate([[0.0, 10.0, 1e18], rng.uniform(0.0, 10.0, 100),
+                           rng.uniform(10.0, 1e6, 100), 10.0 ** rng.uniform(6, 18, 100)])
+    means = pool[np.arange(len(seeds)) % len(pool)]
+    rates, t = means / 2.0, 2.0
+    counts = sample_counts(rates, t, seeds)
+    assert type(counts) is list and all(type(n) is int for n in counts)
+    assert counts == [0 if r * t == 0 else int(np.random.default_rng(s).poisson(r * t))
+                      for r, s in zip(rates.tolist(), seeds)]
+
+    n = sample_counts(float(rates[1]), t, seeds[1])
+    assert type(n) is int and n == counts[1]
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            sample_counts(np.array([5.0, bad]), 1.0, [1, 2])
 
 
 def test_derive_seed_stable_and_distinct():
