@@ -219,12 +219,13 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "qpt", phi0)
+    a, b = arm_operators(cfg)
     t = noise.source.integration_time
     rates, cells = [], []
     for label in QPT_INPUT_LABELS:
         psi = QPT_INPUT_STATES[label]
-        rho_out = conditional_output_state(cfg, Port.D2, psi.density())
-        p_port = detection_probability(cfg, Port.D2, psi)
+        rho_out = conditional_output_state(a, b, cfg.phi, cfg.visibility, psi.density(), -1.0)
+        p_port = float(interference_probability(a, b, cfg.phi, cfg.visibility, psi, -1.0))
         probs = setting_probabilities(rho_out)
         for i, (setting, p_j) in enumerate(sorted(probs.items())):
             rates.append(max(noise.source.pair_rate * noise.detector.efficiency

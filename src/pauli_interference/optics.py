@@ -163,21 +163,20 @@ def detection_probability(cfg: InterferometerConfig, port: Port, psi0: PureState
                                           1.0 if port is Port.D1 else -1.0))
 
 
-def conditional_output_state(cfg: InterferometerConfig, port: Port,
-                             rho_in: np.ndarray) -> np.ndarray:
-    """Normalized polarization state conditioned on a click at ``port``.
+def conditional_output_state(a: np.ndarray, b: np.ndarray, phi: float, visibility: float,
+                             rho_in: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """Normalized polarization state behind the beam splitter that recombines
+    arms A and B, conditioned on a click: sign + for D1, - for D2.
 
     Raises ZeroProbability for a dark port (unnormalized trace below 1e-15).
     """
-    a, b = arm_operators(cfg)
-    sign = 1.0 if port is Port.D1 else -1.0
-    ph = np.exp(1j * cfg.phi)
+    ph = np.exp(1j * phi)
     out = (a @ rho_in @ a.conj().T + b @ rho_in @ b.conj().T
-           + sign * cfg.visibility * (ph * (a @ rho_in @ b.conj().T)
-                                      + np.conj(ph) * (b @ rho_in @ a.conj().T)))
+           + sign * visibility * (ph * (a @ rho_in @ b.conj().T)
+                                  + np.conj(ph) * (b @ rho_in @ a.conj().T)))
     tr = np.trace(out).real
     if tr < 1e-15:
-        raise ZeroProbability(f"port {port.value} is dark for this configuration")
+        raise ZeroProbability(f"port {'D1' if sign > 0 else 'D2'} is dark for this configuration")
     out = out / tr
     # statistical round-off can leave a ~1e-16 anti-Hermitian residue
     return 0.5 * (out + out.conj().T)

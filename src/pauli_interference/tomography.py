@@ -154,20 +154,24 @@ def _decreasing_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
 def _pair_root(n_plus: float, n_minus: float, mu: float) -> tuple[float, float]:
     """Root s of n+/(1+s) - n-/(1-s) = 2 mu s for mu > 0, and ds/dmu.
 
-    s maximizes n+ log(1+s) + n- log(1-s) - mu s^2; with both counts
-    positive it is unique in (-1, 1).  A zero-count pair has the closed root
-    s = +-(sqrt(1 + 2n/mu) - 1)/2, which exceeds 1 only while mu < n/4,
-    never at the multiplier's root, where every |s_k| <= 1.
+    s maximizes n+ log(1+s) + n- log(1-s) - mu s^2.  With both counts
+    positive it is the middle root of 2 mu s^3 - (2 mu + N) s + D = 0,
+    N = n+ + n-, D = n+ - n- (2n+ at s = -1, -2n- at s = 1), in trigonometric
+    form, polished by one Newton step on the original form.  A zero-count
+    pair has the closed root s = +-(sqrt(1 + 2n/mu) - 1)/2, which exceeds 1
+    only while mu < n/4, never at the multiplier's root, where every |s_k| <= 1.
     """
     if n_plus == 0.0 or n_minus == 0.0:
         n, sign = n_plus + n_minus, (1.0 if n_minus == 0.0 else -1.0)
         r = math.sqrt(1.0 + 2.0 * n / mu)
         return sign * n / (mu * (r + 1.0)), -sign * n / (2.0 * mu * mu * r)
-    h = lambda s: (n_plus / (1.0 + s) - n_minus / (1.0 - s) - 2.0 * mu * s,
-                   -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu)
-    s_lin = (n_plus - n_minus) / (n_plus + n_minus)
-    s = _decreasing_root(h, min(0.0, s_lin), max(0.0, s_lin))[0]
-    return s, 2.0 * s / h(s)[1]
+    slope = lambda s: -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu
+    n, d = n_plus + n_minus, n_plus - n_minus
+    r = math.sqrt((2.0 * mu + n) / (6.0 * mu))
+    c = min(1.0, max(-1.0, -d / (4.0 * mu * r ** 3)))
+    s = 2.0 * r * math.cos((math.acos(c) - 2.0 * math.pi) / 3.0)
+    s -= (n_plus / (1.0 + s) - n_minus / (1.0 - s) - 2.0 * mu * s) / slope(s)
+    return s, 2.0 * s / slope(s)
 
 
 @dataclass(frozen=True)
@@ -185,9 +189,10 @@ def qst_mle(counts: dict[str, float]) -> MleResult:
     components s_k, minimized over the unit ball.  When the
     linear-inversion Bloch vector has |s| <= 1 it is the minimum and is
     returned unchanged.  Otherwise the minimum lies on the Bloch sphere:
-    each s_k(mu) solves n+/(1+s) - n-/(1-s) = 2 mu s, the multiplier
-    mu > 0 is the root of sum_k s_k(mu)^2 = 1 (bracketed Newton/bisection),
-    and the result is renormalized to |s| = 1, a pure state.
+    each s_k(mu) solves n+/(1+s) - n-/(1-s) = 2 mu s in closed form, the
+    multiplier mu > 0 is the root of sum_k s_k(mu)^2 = 1 (bracketed
+    Newton/bisection, the only iteration), and the result is renormalized
+    to |s| = 1, a pure state.
     """
     linear = qst_linear(counts)
     if linear.bloch @ linear.bloch <= 1.0:

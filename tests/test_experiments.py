@@ -53,6 +53,20 @@ def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
     assert len(kernel_calls) <= 4
 
 
+def test_qpt_builds_each_jones_matrix_once(monkeypatch):
+    # the four QPT inputs share one apparatus, so a run builds its four
+    # plates' matrices once, in exact and in sampled mode
+    built = []
+    original = optics.waveplate_matrix
+    monkeypatch.setattr(optics, "waveplate_matrix",
+                        lambda wp: built.append(wp) or original(wp))
+    for exact in (True, False):
+        built.clear()
+        run_commutator_qpt(NoiseProfile(waveplate_angle_sigma=0.05, master_seed=9,
+                                        exact_probabilities=exact))
+        assert len(built) <= 4
+
+
 def test_each_record_set_is_one_poisson_batch(monkeypatch):
     # every sampled record set draws its counts in one sample_counts call:
     # the phi0 calibration scan, then one batch per run

@@ -172,22 +172,23 @@ def test_case_i_fringe_shape():
 
 
 def test_conditional_output_state_commutator_port():
+    a, b = arm_operators(case_ii())
     for vis in (1.0, 0.5, 0.05):
         for psi in RANDOM_STATES:
             rho_in = psi.density()
-            out = conditional_output_state(case_ii(visibility=vis), Port.D2, rho_in)
+            out = conditional_output_state(a, b, 0.0, vis, rho_in, -1.0)
             np.testing.assert_allclose(out, SIGMA_Y @ rho_in @ SIGMA_Y, atol=1e-12)
 
 
 def test_conditional_output_state_identity_port():
     rho = RANDOM_STATES[1].density()
-    out = conditional_output_state(case_i(), Port.D1, rho)
+    out = conditional_output_state(*arm_operators(case_i()), 0.0, 1.0, rho)
     np.testing.assert_allclose(out, rho, atol=1e-12)
 
 
 def test_conditional_output_state_dark_port():
     with pytest.raises(ZeroProbability):
-        conditional_output_state(case_i(), Port.D2, STATE_V.density())
+        conditional_output_state(*arm_operators(case_i()), 0.0, 1.0, STATE_V.density(), -1.0)
 
 
 def test_visibility_independence_for_proportional_arms():
@@ -199,9 +200,8 @@ def test_visibility_independence_for_proportional_arms():
         b = rng.uniform(0, math.pi)
         plates = (half_wave(a), half_wave(b), half_wave(a), half_wave(b))
         rho = PureState(np.cos(0.4), np.sin(0.4) * np.exp(0.9j)).density()
-        ref = conditional_output_state(
-            InterferometerConfig(*plates, visibility=1.0), Port.D1, rho)
+        arms = arm_operators(InterferometerConfig(*plates))
+        ref = conditional_output_state(*arms, 0.0, 1.0, rho)
         for vis in (0.7, 0.2):
-            out = conditional_output_state(
-                InterferometerConfig(*plates, visibility=vis), Port.D1, rho)
+            out = conditional_output_state(*arms, 0.0, vis, rho)
             np.testing.assert_allclose(out, ref, atol=1e-12)

@@ -9,7 +9,8 @@ from pauli_interference.errors import EmptyData, NotUnitary
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_D,
                                       STATE_H, STATE_R, trace_distance)
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
-                                           SETTING_LABELS, chi_of_unitary, chi_to_json,
+                                           SETTING_LABELS, _decreasing_root, _pair_root,
+                                           chi_of_unitary, chi_to_json,
                                            density_to_json, matrix_to_json,
                                            mle_negative_log_likelihood,
                                            process_fidelity, qpt_reconstruct, qst_linear,
@@ -110,6 +111,32 @@ def test_qst_mle_monte_carlo_convergence():
         counts = {k: int(rng.poisson(1e4 * v)) for k, v in probs.items()}
         errs.append(trace_distance(qst_mle(counts).rho, truth))
     assert np.mean(errs) < 0.03
+
+
+def _bracketed_pair_root(n_plus, n_minus, mu):
+    """Root of n+/(1+s) - n-/(1-s) = 2 mu s by bracketed Newton on [0, s_lin], and ds/dmu."""
+    h = lambda s: (n_plus / (1.0 + s) - n_minus / (1.0 - s) - 2.0 * mu * s,
+                   -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu)
+    s_lin = (n_plus - n_minus) / (n_plus + n_minus)
+    s = _decreasing_root(h, min(0.0, s_lin), max(0.0, s_lin))[0]
+    return s, 2.0 * s / h(s)[1]
+
+
+def test_pair_root_matches_bracketed_newton():
+    # counts over eight decades, mu over nine; a zero-count pair's root lies
+    # in (-1, 1) only for mu > n/4, which holds at the multiplier's root
+    rng = np.random.default_rng(23)
+    for case in range(6000):
+        n_plus, n_minus = 10.0 ** rng.uniform(-3.0, 5.0, size=2)
+        mu = 10.0 ** rng.uniform(-3.0, 6.0)
+        if case % 5 == 0:
+            n_plus, n_minus = (0.0, n_minus) if case % 2 else (n_plus, 0.0)
+            mu = (n_plus + n_minus) * 10.0 ** rng.uniform(-0.5, 8.5)
+        s, ds = _pair_root(n_plus, n_minus, mu)
+        ref_s, ref_ds = _bracketed_pair_root(n_plus, n_minus, mu)
+        assert -1.0 < s < 1.0
+        assert abs(s - ref_s) <= 1e-14, (n_plus, n_minus, mu)
+        assert ds == pytest.approx(ref_ds, rel=1e-6)
 
 
 def _lbfgs_reference_nll(counts):
