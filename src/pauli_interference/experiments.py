@@ -5,14 +5,14 @@ proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 Each run builds its interferometer once (``_apparatus``); the phi0
 calibration and the phase-of-k scans sweep the mirror phase over arm
 operators computed once (``_fringe_scan``), each port's probabilities over
-the whole phase grid in one array pass.  ``_record`` turns probabilities
-into count records for every run but QPT, which counts its tomography
-settings itself.  Each run's sampled counts are drawn in one batch per
-record set (``photon_stats.sample_counts``).  All randomness flows from
-``NoiseProfile.master_seed`` through the stable per-setting seed
-derivation in :mod:`photon_stats`, so a report is a pure function of its
-profile.  With ``exact_probabilities`` set, Poisson sampling is bypassed
-and counts are expected values (floats).
+the whole phase grid in one array pass.  Every rate is ``expected_rate`` of
+an ``interference_probability``; ``_record`` makes the count records of all
+runs but QPT, which seeds by tomography setting, not ``{label}:{port}``.
+Each record set's sampled counts are one batch (``sample_counts``).  All
+randomness flows from ``NoiseProfile.master_seed`` through the stable
+per-setting seed derivation in :mod:`photon_stats`, so a report is a pure
+function of its profile.  With ``exact_probabilities`` set, Poisson
+sampling is bypassed and counts are expected values (floats).
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ import numpy as np
 
 from .errors import DegenerateScan, ZeroDenominator
 from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
-                     conditional_output_state, detection_probability,
-                     interference_probability, port_operator)
+                     conditional_output_state,  # unused: perfbench/tracing.py wraps it
+                     detection_probability, interference_probability, port_operator)
 from .photon_stats import (CountRecord, DetectorModel, SourceModel, _wrap_near,
                            calibrate_phase, derive_seed, expected_rate, fit_sinusoid,
                            records_to_csv, sample_counts)
 from .qubit import SIGMA_Y, PureState, STATE_V
 from .tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES, chi_of_unitary,
                          chi_to_json, process_fidelity, qpt_reconstruct, qst_linear,
-                         qst_mle, setting_probabilities)
+                         qst_mle, tomography_settings)
 
 # the mirror phases of every fringe scan: the phi0 calibration and phase-of-k
 N_SCAN_POINTS = 40
@@ -41,6 +41,12 @@ _SCAN_PHIS = np.linspace(-2.0 * math.pi, 2.0 * math.pi, N_SCAN_POINTS)
 # numpy's Poisson sampler refuses means above about 9.2e18, so a profile whose
 # brightest setting could ask for more is rejected up front
 MAX_MEAN_COUNTS = 1.0e18
+# QPT's six analyzer settings in the label order (A, D, H, L, R, V) it records and seeds
+_QPT_SETTINGS = sorted(tomography_settings(), key=lambda s: s.label)
+_ANALYZERS = np.array([s.projector for s in _QPT_SETTINGS])
+# the mean process fidelity window calibrate_angle_noise aims for, and its bisection cap
+FIDELITY_WINDOW = (0.92, 0.96)
+MAX_BISECTIONS = 20
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,10 @@ class NoiseProfile:
             raise ValueError("phase_offset_error must be finite")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
+        if not isinstance(self.exact_probabilities, bool):
+            raise ValueError("exact_probabilities must be true or false")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
+            raise ValueError("master_seed must be an integer")
         peak_rate = self.source.pair_rate * self.detector.efficiency + self.detector.dark_rate
         if not peak_rate * self.source.integration_time <= MAX_MEAN_COUNTS:
             raise ValueError(f"mean counts per setting exceed {MAX_MEAN_COUNTS:g}")
@@ -212,27 +222,22 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
 def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     """Process tomography of the commutator port (case II, D2) against sigma_y.
 
-    For each of the four tomography inputs the conditional D2 state is
-    measured in the six polarization settings; reconstruction is linear
-    inversion in exact-probability mode and maximum likelihood on sampled
-    counts.
+    The analyzer behind D2 acts on both arms alike, so the probability of a
+    click with outcome j of the six settings is the kernel on (P_j A, P_j B).
+    Reconstruction is linear inversion in exact-probability mode and maximum
+    likelihood on sampled counts.
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "qpt", phi0)
-    a, b = arm_operators(cfg)
+    a, b = (_ANALYZERS @ arm for arm in arm_operators(cfg))
+    p = [interference_probability(a, b, cfg.phi, cfg.visibility, QPT_INPUT_STATES[label], -1.0)
+         for label in QPT_INPUT_LABELS]
+    rates = expected_rate(np.ravel(p), noise.source, noise.detector)
     t = noise.source.integration_time
-    rates, cells = [], []
-    for label in QPT_INPUT_LABELS:
-        psi = QPT_INPUT_STATES[label]
-        rho_out = conditional_output_state(a, b, cfg.phi, cfg.visibility, psi.density(), -1.0)
-        p_port = float(interference_probability(a, b, cfg.phi, cfg.visibility, psi, -1.0))
-        probs = setting_probabilities(rho_out)
-        for i, (setting, p_j) in enumerate(sorted(probs.items())):
-            rates.append(max(noise.source.pair_rate * noise.detector.efficiency
-                             * p_port * p_j, 0.0) + noise.detector.dark_rate)
-            cells.append((label, setting, i))
+    cells = [(label, s.label, i) for label in QPT_INPUT_LABELS
+             for i, s in enumerate(_QPT_SETTINGS)]
     if noise.exact_probabilities:
-        all_counts = [rate * t for rate in rates]
+        all_counts = (rates * t).tolist()
     else:
         all_counts = sample_counts(rates, t, [derive_seed(noise.master_seed,
                                                           f"qpt:{label}:{setting}", i)
@@ -342,8 +347,7 @@ def mean_qpt_fidelity(noise: NoiseProfile, sigma: float, n_seeds: int) -> float:
 
 
 def calibrate_angle_noise(noise: NoiseProfile | None = None,
-                          f_low: float = 0.92, f_high: float = 0.96,
-                          n_seeds: int = 50, max_bisections: int = 20) -> AngleNoiseCalibration:
+                          n_seeds: int = 50) -> AngleNoiseCalibration:
     """Find a plate-angle noise level whose mean process fidelity lands in a window.
 
     The target fidelity window stands in for unknown apparatus
@@ -352,6 +356,7 @@ def calibrate_angle_noise(noise: NoiseProfile | None = None,
     """
     if noise is None:
         noise = NoiseProfile()
+    f_low, f_high = FIDELITY_WINDOW
     lo, hi = 0.0, 0.05
     f_hi_val = mean_qpt_fidelity(noise, hi, n_seeds)
     while f_hi_val > f_low and hi < 1.0:
@@ -359,7 +364,7 @@ def calibrate_angle_noise(noise: NoiseProfile | None = None,
             return AngleNoiseCalibration(hi, f_hi_val, n_seeds)
         lo, hi = hi, 2.0 * hi
         f_hi_val = mean_qpt_fidelity(noise, hi, n_seeds)
-    for _ in range(max_bisections):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         f_mid = mean_qpt_fidelity(noise, mid, n_seeds)
         if f_low <= f_mid <= f_high:

@@ -141,17 +141,18 @@ def interference_probability(a: np.ndarray, b: np.ndarray, phi: float | np.ndarr
     """Click probability behind the beam splitter that recombines arms A and B.
 
     p = (1/4)(|A psi|^2 + |B psi|^2 + sign 2 V Re(e^{i phi} <B psi|A psi>)),
-    clamped to [0, 1].  Visibility scales only the cross term.  ``phi`` may
-    be a scalar or an array (one fringe scan in one pass); p has its shape.
-    The real part of the cross term is written out: numpy's vectorised
-    complex product rounds differently from the scalar one, so
-    ``(overlap * turn).real`` would move the last bit of some scan points.
+    clamped to [0, 1].  Visibility scales only the cross term.  A call takes
+    one arm pair and a scalar or array ``phi`` (a fringe scan in one pass), or
+    (k, 2, 2) stacks of pairs and a scalar ``phi``, not both; p has the shape
+    of ``phi`` or of the stack, the same bits per pair in either form.  The
+    real part of the cross term is written out: ``(overlap * turn).real``
+    rounds differently on an array than on a scalar.
     """
     av, bv = a @ psi0.vector, b @ psi0.vector
-    overlap = np.vdot(bv, av)
+    overlap = np.vecdot(bv, av)
     turn = np.exp(1j * phi)
     cross = overlap.real * turn.real - overlap.imag * turn.imag
-    p = 0.25 * (np.vdot(av, av).real + np.vdot(bv, bv).real
+    p = 0.25 * (np.vecdot(av, av).real + np.vecdot(bv, bv).real
                 + sign * 2.0 * visibility * cross)
     return np.clip(p, 0.0, 1.0)
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import pauli_interference
+from pauli_interference import experiments
 from pauli_interference.cli import main
+from pauli_interference.optics import case_i
 
 
 def run_cli(args, capsys):
@@ -79,8 +81,13 @@ def test_bad_config_file(tmp_path, capsys):
     '{"input_state": {"hwp": NaN, "qwp": 0}}',
     '{"noise": {"source": {"pair_rate": 1e308}}}',
     '{"noise": {"detector": {"dark_rate": 1e308}}}',
+    '{"noise": {"exact_probabilities": "false"}}',
+    '{"noise": {"master_seed": [1, 2]}}',
+    '{"noise": {"master_seed": 1.5}}',
+    '{"noise": {"master_seed": true}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
-        "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate"])
+        "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
+        "list-seed", "float-seed", "bool-seed"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -111,6 +118,17 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_qpt_dark_commutator_port_is_experiment_error(tmp_path, capsys, monkeypatch, exact):
+    # with case I's plates D2 is dark for every input: no dark counts leave
+    # every tomography setting empty
+    monkeypatch.setattr(experiments, "case_ii", case_i)
+    argv = ["qpt", "--ideal", "--output", str(tmp_path)]
+    code, _, err = run_cli(argv + ["--exact-probabilities"] * exact, capsys)
+    assert code == 3
+    assert err.startswith("experiment error") and err.count("\n") == 1
 
 
 def test_experiment_error_exit_code(tmp_path, capsys):

@@ -55,16 +55,27 @@ def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
 
 def test_qpt_builds_each_jones_matrix_once(monkeypatch):
     # the four QPT inputs share one apparatus, so a run builds its four
-    # plates' matrices once, in exact and in sampled mode
-    built = []
+    # plates' matrices once, in exact and in sampled mode; each input's six
+    # settings are one kernel call, with no conditional state
+    built, kernel_calls, conditional_calls = [], [], []
     original = optics.waveplate_matrix
     monkeypatch.setattr(optics, "waveplate_matrix",
                         lambda wp: built.append(wp) or original(wp))
+    kernel = experiments.interference_probability
+    monkeypatch.setattr(experiments, "interference_probability",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    conditional = optics.conditional_output_state
+    for owner in (optics, experiments):
+        monkeypatch.setattr(owner, "conditional_output_state",
+                            lambda *args: conditional_calls.append(args) or conditional(*args))
     for exact in (True, False):
         built.clear()
+        kernel_calls.clear()
         run_commutator_qpt(NoiseProfile(waveplate_angle_sigma=0.05, master_seed=9,
                                         exact_probabilities=exact))
         assert len(built) <= 4
+        assert len(kernel_calls) == 4
+        assert conditional_calls == []
 
 
 def test_each_record_set_is_one_poisson_batch(monkeypatch):

@@ -54,8 +54,8 @@ GOLDEN = {
                            "379a1ca7478c594c31fbea7a6bc62daa62f22722438ab8f8988a322ac17fc6ef"),
     ("qpt", False): ("b0bd1a777b679a16366bf14e6916bbd58031b6732557960f26fdf31af341c232",
                      "bccd727c4be2696b2aed86a2fffbcf4a1fe109dd17424ecfd835d2717243a414"),
-    ("qpt", True): ("bdf8adb7975931e310aff02688a4ada5835c93c08b39829ec703352aa2ffa482",
-                    "6f1742b7d1cf1c2092f7c930b4e2878d7ad7b6090bd3241e4845e4caf7e4470f"),
+    ("qpt", True): ("3ba31926a6486ad8599a4a695a271358d3174b5840ac9d4057257d4465a28d4a",
+                    "155dca3655028513d5192e21b9190fe2796055cc3d6a79c7b8cc2ad8a8e8048b"),
 }
 
 

@@ -13,8 +13,10 @@ from pauli_interference.optics import (InterferometerConfig, Port, WavePlate, ar
                                        prepare_state, quarter_wave, waveplate_matrix)
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState,
                                       STATE_H, STATE_V, is_hermitian, is_unitary)
+from pauli_interference.tomography import QPT_INPUT_STATES, tomography_settings
 
 SQ2 = 1.0 / math.sqrt(2.0)
+_PROJECTORS = np.array([s.projector for s in tomography_settings()])
 
 
 def test_waveplate_validation():
@@ -127,6 +129,33 @@ def test_interference_probability_array_is_bit_identical_to_scalar():
         assert p.shape == phis.shape
         assert p.tolist() == [float(interference_probability(a, b, float(phi), 0.95, psi, sign))
                               for phi in phis]
+    # a (6, 2, 2) stack of arm pairs at one phase, as QPT's six analyzers make
+    pa, pb = _PROJECTORS @ a, _PROJECTORS @ b
+    for sign in (1.0, -1.0):
+        p = interference_probability(pa, pb, 0.3, 0.95, psi, sign)
+        assert p.shape == (6,)
+        assert p.tolist() == [float(interference_probability(x, y, 0.3, 0.95, psi, sign))
+                              for x, y in zip(pa, pb)]
+
+
+def test_kernel_on_projected_arms_is_port_probability_times_conditional_state():
+    # an analyzer behind the port acts on both arms alike, so the joint
+    # probability of a D2 click and outcome j is the kernel on (P_j A, P_j B):
+    # p_port tr(P_j rho_cond), with the conditional state as the reference
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        noise = experiments.NoiseProfile(waveplate_angle_sigma=0.2,
+                                         master_seed=int(rng.integers(2**32)))
+        phi = rng.uniform(-math.pi, math.pi)
+        a, b = arm_operators(experiments._apparatus(case_ii, noise, "qpt", phi))
+        for vis in (1.0, 0.95, 0.5):
+            for psi in QPT_INPUT_STATES.values():
+                joint = interference_probability(_PROJECTORS @ a, _PROJECTORS @ b,
+                                                 phi, vis, psi, -1.0)
+                p_port = interference_probability(a, b, phi, vis, psi, -1.0)
+                rho = conditional_output_state(a, b, phi, vis, psi.density(), -1.0)
+                ref = [p_port * np.trace(proj @ rho).real for proj in _PROJECTORS]
+                np.testing.assert_allclose(joint, ref, rtol=0, atol=1e-15)
 
 
 def _random_config(rng, phi=None):
