@@ -61,6 +61,8 @@ def load_config(args) -> dict:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} is not a JSON object")
+    if unknown := cfg.keys() - {"noise", "input_state"}:
+        raise ConfigError(f"config {args.config} has unknown keys {sorted(unknown)}")
     return cfg
 
 
@@ -86,6 +88,8 @@ def load_input_state(cfg: dict):
     angles = cfg.get("input_state")
     if angles is None:
         return STATE_V
+    if isinstance(angles, dict) and (unknown := angles.keys() - {"hwp", "qwp"}):
+        raise ConfigError(f"bad input_state: unknown keys {sorted(unknown)}")
     try:
         return prepare_state(half_wave(float(angles["hwp"])),
                              quarter_wave(float(angles["qwp"])))

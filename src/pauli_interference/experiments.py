@@ -2,12 +2,12 @@
 tomography of the commutator port, magnitude and phase of the
 proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 
-Each run builds its interferometer once (``_apparatus``); the phi0
-calibration and the phase-of-k scans sweep the mirror phase over arm
-operators computed once (``_fringe_scan``), each port's probabilities over
-the whole phase grid in one array pass.  Every rate is ``expected_rate`` of
-an ``interference_probability``; ``_record`` makes the count records of all
-runs but QPT, which seeds by tomography setting, not ``{label}:{port}``.
+Each run builds its interferometer (``_apparatus``) and arm operators once,
+and every click probability is a kernel call (``interference_probability``):
+over the whole mirror-phase grid for a fringe scan (``_fringe_scan``), or on
+a stack of arm pairs otherwise.  Every rate is ``expected_rate`` of a kernel
+probability; ``_record`` makes the count records of all runs but QPT, which
+seeds by tomography setting, not ``{label}:{port}``.
 Each record set's sampled counts are one batch (``sample_counts``).  All
 randomness flows from ``NoiseProfile.master_seed`` through the stable
 per-setting seed derivation in :mod:`photon_stats`, so a report is a pure
@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import DegenerateScan, ZeroDenominator
 from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
-                     conditional_output_state,  # unused: perfbench/tracing.py wraps it
-                     detection_probability, interference_probability, port_operator)
+                     interference_probability, port_operator,
+                     # both unused here: perfbench/tracing.py wraps them
+                     conditional_output_state, detection_probability)
 from .photon_stats import (CountRecord, DetectorModel, SourceModel, _wrap_near,
                            calibrate_phase, derive_seed, expected_rate, fit_sinusoid,
                            records_to_csv, sample_counts)
@@ -62,8 +63,10 @@ class NoiseProfile:
     exact_probabilities: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.waveplate_angle_sigma < math.inf:
-            raise ValueError("waveplate_angle_sigma must be finite and >= 0")
+        # a plate angle counts mod pi, so a Gaussian error with sigma = pi is
+        # already uniform to about 3e-9; a wider one only risks an infinite draw
+        if not 0.0 <= self.waveplate_angle_sigma <= math.pi:
+            raise ValueError("waveplate_angle_sigma must be in [0, pi]")
         if not math.isfinite(self.phase_offset_error):
             raise ValueError("phase_offset_error must be finite")
         if not 0.0 <= self.visibility <= 1.0:
@@ -195,8 +198,11 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     derived: dict = {"phi0": phi0}
     ports = (Port.D1, Port.D2)
     cases = (("I", case_i), ("II", case_ii))
-    p = [[detection_probability(_apparatus(builder, noise, f"case-{name}", phi0), port, psi0)
-          for port in ports] for name, builder in cases]
+    # both apparatus share phi and visibility: one kernel call per port on their stacked arms
+    cfgs = [_apparatus(builder, noise, f"case-{name}", phi0) for name, builder in cases]
+    a, b = map(np.stack, zip(*map(arm_operators, cfgs)))
+    p = np.column_stack([interference_probability(a, b, cfgs[0].phi, cfgs[0].visibility,
+                                                  psi0, sign) for sign in (1.0, -1.0)])
     records = _record(p, noise, [(f"case-{name}", phi0, 0) for name, _ in cases], ports)
     for (case_name, _), recs in zip(cases, (records[:2], records[2:])):
         total = sum(rec.counts for rec in recs)
@@ -271,21 +277,22 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     """|k| = N / (N_u + N_l) from path-blocking sub-runs at the commutator port.
 
     N: both arms open; N_u: transmitted arm blocked (reflected amplitude
-    only); N_l: reflected arm blocked.  Dark counts are subtracted before
-    the ratio; the standard error follows Poisson propagation,
-    stderr = |k| sqrt(1/N + 1/(N_u + N_l)).
+    only); N_l: reflected arm blocked.  The arms are built once, and the
+    three sub-runs are one kernel call with the blocked arm zeroed.  Dark
+    counts are subtracted before the ratio; the standard error follows
+    Poisson propagation, stderr = |k| sqrt(1/N + 1/(N_u + N_l)).
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "estimate-k", phi0)
     dark = noise.detector.dark_rate * noise.source.integration_time
-    sub_runs = (("open", {}), ("block-transmitted", {"block_transmitted": True}),
-                ("block-reflected", {"block_reflected": True}))
-    p = [[detection_probability(replace(cfg, **blocks), Port.D2, psi0)]
-         for _, blocks in sub_runs]
-    records = _record(p, noise, [(f"k:{label}", phi0, 0) for label, _ in sub_runs],
+    sub_runs = ("open", "block-transmitted", "block-reflected")
+    a, b = arm_operators(cfg)
+    zero = np.zeros_like(a)  # a blocked arm's operator is zero
+    p = interference_probability(np.stack([a, zero, a]), np.stack([b, b, zero]),
+                                 cfg.phi, cfg.visibility, psi0, -1.0)
+    records = _record(p[:, None], noise, [(f"k:{label}", phi0, 0) for label in sub_runs],
                       (Port.D2,))
-    corrected = {label: max(rec.counts - dark, 0.0)
-                 for (label, _), rec in zip(sub_runs, records)}
+    corrected = {label: max(rec.counts - dark, 0.0) for label, rec in zip(sub_runs, records)}
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
     if n_split <= 0:

@@ -13,7 +13,7 @@ Arm naming: the "transmitted" arm of the interferometer carries plates
 sigma1 then sigma2; the "reflected" arm carries sigma3 then sigma4 and
 the beam-splitter reflection factor i.  Which physical arm (upper or
 lower) is "transmitted" is a labeling choice; blocking the reflected arm
-isolates the sigma4*sigma3 amplitude and vice versa.
+isolates the sigma2*sigma1 amplitude and vice versa.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ class InterferometerConfig:
     sigma4: WavePlate
     phi: float = 0.0
     visibility: float = 1.0
-    block_transmitted: bool = False
-    block_reflected: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
@@ -112,21 +110,16 @@ def case_ii(phi: float = 0.0, visibility: float = 1.0) -> InterferometerConfig:
 
 
 def arm_operators(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with A = sigma2*sigma1 on the transmitted arm, B = sigma4*sigma3 on the reflected.
-
-    A blocked arm's operator is zero.
-    """
-    a = waveplate_matrix(cfg.sigma2) @ waveplate_matrix(cfg.sigma1)
-    b = waveplate_matrix(cfg.sigma4) @ waveplate_matrix(cfg.sigma3)
-    zero = np.zeros((2, 2), dtype=complex)
-    return (zero if cfg.block_transmitted else a), (zero if cfg.block_reflected else b)
+    """(A, B) with A = sigma2*sigma1 on the transmitted arm, B = sigma4*sigma3 on the reflected."""
+    return (waveplate_matrix(cfg.sigma2) @ waveplate_matrix(cfg.sigma1),
+            waveplate_matrix(cfg.sigma4) @ waveplate_matrix(cfg.sigma3))
 
 
 def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
     """Effective operator seen at a detector port.
 
-    D1 -> (i/2)(A e^{i phi} + B), D2 -> (1/2)(A e^{i phi} - B).  A blocked
-    arm drops its term; the 1/2 from each beam splitter is retained.
+    D1 -> (i/2)(A e^{i phi} + B), D2 -> (1/2)(A e^{i phi} - B); the 1/2 from
+    each beam splitter is retained.
     """
     a, b = arm_operators(cfg)
     ph = np.exp(1j * cfg.phi)

@@ -85,9 +85,14 @@ def test_bad_config_file(tmp_path, capsys):
     '{"noise": {"master_seed": [1, 2]}}',
     '{"noise": {"master_seed": 1.5}}',
     '{"noise": {"master_seed": true}}',
+    '{"noise": {"waveplate_angle_sigma": 1e308}}',
+    '{"noise": {"waveplate_angle_sigma": 3.2}}',
+    '{"nosie": {"visibility": 0.1}}',
+    '{"input_state": {"hwp": 0.3, "qwp": 0, "hwq": 0.1}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
-        "list-seed", "float-seed", "bool-seed"])
+        "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
+        "unknown-top-level-key", "unknown-input-state-key"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

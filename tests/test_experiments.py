@@ -78,6 +78,34 @@ def test_qpt_builds_each_jones_matrix_once(monkeypatch):
         assert conditional_calls == []
 
 
+def test_case_compare_and_estimate_k_build_their_arms_once(monkeypatch):
+    # a blocked arm is a zero operator in the stack, not a rebuilt apparatus:
+    # case-compare builds its two apparatus' eight plates once and makes one
+    # kernel call per port, estimate-k builds four plates and makes one call
+    built, kernel_calls, per_port_calls = [], [], []
+    original = optics.waveplate_matrix
+    monkeypatch.setattr(optics, "waveplate_matrix",
+                        lambda wp: built.append(wp) or original(wp))
+    kernel = experiments.interference_probability
+    monkeypatch.setattr(experiments, "interference_probability",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    per_port = experiments.detection_probability
+    monkeypatch.setattr(experiments, "detection_probability",
+                        lambda *args: per_port_calls.append(args) or per_port(*args))
+    for exact in (True, False):
+        # no phase offset, so no calibration scan adds to the counts
+        noise = NoiseProfile(waveplate_angle_sigma=0.05, master_seed=9,
+                             exact_probabilities=exact)
+        for run, max_built, n_kernel_calls in ((run_case_comparison, 8, 2),
+                                               (estimate_k_magnitude, 4, 1)):
+            built.clear()
+            kernel_calls.clear()
+            run(noise)
+            assert len(built) <= max_built
+            assert len(kernel_calls) == n_kernel_calls
+            assert per_port_calls == []
+
+
 def test_each_record_set_is_one_poisson_batch(monkeypatch):
     # every sampled record set draws its counts in one sample_counts call:
     # the phi0 calibration scan, then one batch per run

@@ -86,15 +86,20 @@ def test_port_operator_case_ii_is_i_sigma_y():
                                atol=1e-15)
 
 
-def test_port_operator_blocking():
-    from dataclasses import replace
-    a_only = replace(case_ii(), block_reflected=True)
-    b_only = replace(case_ii(), block_transmitted=True)
-    # transmitted arm alone carries sigma_z sigma_x = i sigma_y, halved twice
-    np.testing.assert_allclose(port_operator(a_only, Port.D2), 0.5j * SIGMA_Y,
-                               atol=1e-15)
-    np.testing.assert_allclose(port_operator(b_only, Port.D2), 0.5j * SIGMA_Y,
-                               atol=1e-15)
+def test_blocked_arm_is_a_zero_operator():
+    # the transmitted arm alone carries sigma_z sigma_x = i sigma_y and the
+    # reflected arm sigma_x sigma_z = -i sigma_y; the D2 port operator with
+    # the other arm dropped halves the one and negates the other
+    a, b = arm_operators(case_ii())
+    np.testing.assert_allclose(0.5 * a, 0.5j * SIGMA_Y, atol=1e-15)
+    np.testing.assert_allclose(-0.5 * b, 0.5j * SIGMA_Y, atol=1e-15)
+    # with one arm zeroed there is no cross term: a quarter of the photons
+    # reach either port
+    zero = np.zeros((2, 2), dtype=complex)
+    for sign in (1.0, -1.0):
+        p = interference_probability(np.stack([zero, a]), np.stack([b, zero]), 0.0, 1.0,
+                                     STATE_V, sign)
+        np.testing.assert_allclose(p, [0.25, 0.25], rtol=0, atol=1e-15)
 
 
 RANDOM_STATES = [PureState(np.cos(t), np.sin(t) * np.exp(1j * p))
