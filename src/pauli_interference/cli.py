@@ -160,9 +160,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (errors.ZeroProbability, errors.DegenerateScan, errors.CalibrationInconsistent,
-            errors.EmptyData, errors.NotUnitary,
-            errors.ZeroDenominator, RuntimeError) as exc:
+    except errors.ExperimentError as exc:
         print(f"experiment error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
 

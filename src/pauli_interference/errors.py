@@ -1,25 +1,33 @@
 """Exception types shared across the package."""
 
 
-class ZeroProbability(ValueError):
+class ExperimentError(Exception):
+    """An experiment ran but its data give no answer (CLI exit code 3)."""
+
+
+class ZeroProbability(ExperimentError, ValueError):
     """Conditioning on a dark port: the unnormalized output has (near-)zero trace."""
 
 
-class DegenerateScan(ValueError):
+class DegenerateScan(ExperimentError, ValueError):
     """A phase scan cannot be fitted (too few points, insufficient span, or flat fringe)."""
 
 
-class CalibrationInconsistent(ValueError):
+class CalibrationInconsistent(ExperimentError, ValueError):
     """D1 and D2 fringe fits disagree on the calibrated phase beyond their errors."""
 
 
-class EmptyData(ValueError):
-    """A tomography basis pair has zero total counts."""
+class CalibrationFailed(ExperimentError, RuntimeError):
+    """The plate-angle noise search did not land in its fidelity window."""
 
 
-class NotUnitary(ValueError):
+class EmptyData(ExperimentError, ValueError):
+    """A tomography basis pair or a case-compare case has zero total counts."""
+
+
+class NotUnitary(ExperimentError, ValueError):
     """A matrix expected to be unitary is not, within tolerance."""
 
 
-class ZeroDenominator(ZeroDivisionError):
+class ZeroDenominator(ExperimentError, ZeroDivisionError):
     """The blocked-path count rates sum to zero; the ratio estimate is undefined."""

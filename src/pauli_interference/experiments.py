@@ -5,10 +5,10 @@ proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 Each run builds its interferometer (``_apparatus``) and arm operators once,
 and every click probability is a kernel call (``interference_probability``):
 over the whole mirror-phase grid for a fringe scan (``_fringe_scan``), or on
-a stack of arm pairs otherwise.  Every rate is ``expected_rate`` of a kernel
-probability; ``_record`` makes the count records of all runs but QPT, which
-seeds by tomography setting, not ``{label}:{port}``.
-Each record set's sampled counts are one batch (``sample_counts``).  All
+a stack of arm pairs otherwise.  Every run's count records come from
+``_record``, which makes each rate ``expected_rate`` of a kernel probability
+and draws a record set's sampled counts in one batch (``sample_counts``);
+each caller names the seed key of every count.  All
 randomness flows from ``NoiseProfile.master_seed`` through the stable
 per-setting seed derivation in :mod:`photon_stats`, so a report is a pure
 function of its profile.  With ``exact_probabilities`` set, Poisson
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateScan, ZeroDenominator
+from .errors import CalibrationFailed, DegenerateScan, EmptyData, ZeroDenominator
 from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
                      interference_probability, port_operator,
                      # both unused here: perfbench/tracing.py wraps them
@@ -126,22 +126,21 @@ def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> Interfe
     return replace(cfg, **plates)
 
 
-def _record(p, noise: NoiseProfile, rows: list[tuple[str, float, int]],
-            ports: tuple[Port, ...]) -> list[CountRecord]:
-    """Count records for the click probabilities p[i][j] at row i = (setting
-    label, mirror phase, seed index) and port ports[j], row-major; a sampled
-    count is seeded by (label, port, index), and all are drawn in one batch."""
-    rate = expected_rate(np.asarray(p), noise.source, noise.detector).ravel()
+def _record(p, noise: NoiseProfile,
+            cells: list[tuple[str, float, Port, str, int]]) -> list[CountRecord]:
+    """The count records of every run: one per click probability in p, taken
+    row-major, at its cell (setting label, mirror phase, port, seed label,
+    seed index).  A sampled count is seeded by its cell's (seed label, seed
+    index), and all are drawn in one batch."""
+    rate = expected_rate(np.ravel(p), noise.source, noise.detector)
     t = noise.source.integration_time
     if noise.exact_probabilities:
         counts = (rate * t).tolist()
     else:
-        counts = sample_counts(rate, t, [derive_seed(noise.master_seed,
-                                                     f"{label}:{port.value}", i)
-                                         for label, _, i in rows for port in ports])
-    cells = [(label, phi, port) for label, phi, _ in rows for port in ports]
+        counts = sample_counts(rate, t, [derive_seed(noise.master_seed, key, i)
+                                         for *_, key, i in cells])
     return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
-            for (label, phi, port), n in zip(cells, counts)]
+            for (label, phi, port, _, _), n in zip(cells, counts)]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
@@ -152,8 +151,9 @@ def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureSt
     phis = _SCAN_PHIS - noise.phase_offset_error
     p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
                          for _, sign in outputs])
-    rows = [(label, phi, i) for i, phi in enumerate(_SCAN_PHIS.tolist())]
-    return _record(p, noise, rows, tuple(port for port, _ in outputs))
+    return _record(p, noise, [(label, phi, port, f"{label}:{port.value}", i)
+                              for i, phi in enumerate(_SCAN_PHIS.tolist())
+                              for port, _ in outputs])
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -203,13 +203,16 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     a, b = map(np.stack, zip(*map(arm_operators, cfgs)))
     p = np.column_stack([interference_probability(a, b, cfgs[0].phi, cfgs[0].visibility,
                                                   psi0, sign) for sign in (1.0, -1.0)])
-    records = _record(p, noise, [(f"case-{name}", phi0, 0) for name, _ in cases], ports)
+    records = _record(p, noise, [(f"case-{name}", phi0, port, f"case-{name}:{port.value}", 0)
+                                 for name, _ in cases for port in ports])
     for (case_name, _), recs in zip(cases, (records[:2], records[2:])):
         total = sum(rec.counts for rec in recs)
+        if total <= 0:
+            raise EmptyData(f"case {case_name} has zero total counts")
         for rec in recs:
             key = f"case_{case_name}_{rec.port.value}"
-            derived[key] = rec.counts / total if total > 0 else 0.0
-            if not noise.exact_probabilities and total > 0:
+            derived[key] = rec.counts / total
+            if not noise.exact_probabilities:
                 # binomial stderr of the normalized rate
                 q = derived[key]
                 derived[key + "_err"] = math.sqrt(max(q * (1 - q), 1.0 / total) / total)
@@ -238,22 +241,12 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     a, b = (_ANALYZERS @ arm for arm in arm_operators(cfg))
     p = [interference_probability(a, b, cfg.phi, cfg.visibility, QPT_INPUT_STATES[label], -1.0)
          for label in QPT_INPUT_LABELS]
-    rates = expected_rate(np.ravel(p), noise.source, noise.detector)
-    t = noise.source.integration_time
-    cells = [(label, s.label, i) for label in QPT_INPUT_LABELS
-             for i, s in enumerate(_QPT_SETTINGS)]
-    if noise.exact_probabilities:
-        all_counts = (rates * t).tolist()
-    else:
-        all_counts = sample_counts(rates, t, [derive_seed(noise.master_seed,
-                                                          f"qpt:{label}:{setting}", i)
-                                              for label, setting, i in cells])
-    records, by_input = [], {label: {} for label in QPT_INPUT_LABELS}
-    for (label, setting, _), n in zip(cells, all_counts):
-        by_input[label][setting] = n
-        records.append(CountRecord(f"qpt:{label}:{setting}", phi0, Port.D2, t, n))
+    records = _record(p, noise, [(f"qpt:{label}:{s.label}", phi0, Port.D2,
+                                  f"qpt:{label}:{s.label}", i) for label in QPT_INPUT_LABELS
+                                 for i, s in enumerate(_QPT_SETTINGS)])
     outputs, mle_converged = {}, True
-    for label, counts in by_input.items():
+    for j, label in enumerate(QPT_INPUT_LABELS):
+        counts = {s.label: rec.counts for s, rec in zip(_QPT_SETTINGS, records[6 * j:6 * j + 6])}
         if noise.exact_probabilities:
             outputs[label] = qst_linear(counts).rho
         else:
@@ -290,8 +283,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     zero = np.zeros_like(a)  # a blocked arm's operator is zero
     p = interference_probability(np.stack([a, zero, a]), np.stack([b, b, zero]),
                                  cfg.phi, cfg.visibility, psi0, -1.0)
-    records = _record(p[:, None], noise, [(f"k:{label}", phi0, 0) for label in sub_runs],
-                      (Port.D2,))
+    records = _record(p, noise, [(f"k:{label}", phi0, Port.D2, f"k:{label}:D2", 0)
+                                 for label in sub_runs])
     corrected = {label: max(rec.counts - dark, 0.0) for label, rec in zip(sub_runs, records)}
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
@@ -380,4 +373,4 @@ def calibrate_angle_noise(noise: NoiseProfile | None = None,
             lo = mid
         else:
             hi = mid
-    raise RuntimeError("angle-noise calibration did not land in the fidelity window")
+    raise CalibrationFailed("angle-noise calibration did not land in the fidelity window")

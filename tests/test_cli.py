@@ -136,6 +136,45 @@ def test_qpt_dark_commutator_port_is_experiment_error(tmp_path, capsys, monkeypa
     assert err.startswith("experiment error") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_case_compare_without_photons_is_experiment_error(tmp_path, capsys, exact):
+    # no detection and no dark counts: both cases have zero counts, so there
+    # are no rates to compare and no pi shift to verify
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"detector": {"efficiency": 0.0}}}))
+    argv = ["case-compare", "--config", str(cfg), "--output", str(tmp_path)]
+    code, _, err = run_cli(argv + ["--exact-probabilities"] * exact, capsys)
+    assert code == 3
+    assert err.startswith("experiment error (EmptyData)") and err.count("\n") == 1
+
+
+def test_calibration_outside_fidelity_window_is_experiment_error(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a mean fidelity that never reaches the window exhausts the bisection
+    monkeypatch.setattr(experiments, "mean_qpt_fidelity", lambda *args: 0.5)
+    code, _, err = run_cli(["calibrate-noise", "--output", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("experiment error (CalibrationFailed)") and err.count("\n") == 1
+
+
+def test_json_format_writes_records_to_report_only(tmp_path, capsys):
+    runs = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run_cli(["estimate-k", "--seed", "3", "--format", fmt,
+                        "--output", str(out)], capsys)[0] == 0
+        runs[fmt] = out
+    assert not (runs["json"] / "counts.csv").exists()
+    report = (runs["json"] / "report.json").read_text()
+    assert report == (runs["csv"] / "report.json").read_text()
+    header, *rows = (runs["csv"] / "counts.csv").read_text().splitlines()
+    assert header == "setting,phi,port,duration,counts"
+    assert [[r["setting"], r["phi"], r["port"], r["duration"], r["counts"]]
+            for r in json.loads(report)["records"]] == [
+        [setting, float(phi), port, float(duration), int(counts)]
+        for setting, phi, port, duration, counts in (row.split(",") for row in rows)]
+
+
 def test_experiment_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noise": {"visibility": 0.0,

@@ -107,21 +107,24 @@ def test_case_compare_and_estimate_k_build_their_arms_once(monkeypatch):
 
 
 def test_each_record_set_is_one_poisson_batch(monkeypatch):
-    # every sampled record set draws its counts in one sample_counts call:
-    # the phi0 calibration scan, then one batch per run
-    calls = []
-    sampler = experiments.sample_counts
+    # every record set comes from one _record call, the only place that turns
+    # click probabilities into counts, and its sampled counts from one
+    # sample_counts call: the phi0 calibration scan, then each of the run's own
+    calls, records = [], []
+    sampler, record = experiments.sample_counts, experiments._record
     monkeypatch.setattr(experiments, "sample_counts",
                         lambda *args: calls.append(args) or sampler(*args))
+    monkeypatch.setattr(experiments, "_record",
+                        lambda *args: records.append(args) or record(*args))
     noise = NoiseProfile(phase_offset_error=0.3, master_seed=8)
-    for run, most in ((run_phase_scan, 1), (run_phase_of_k, 3),
-                      (run_case_comparison, 2), (estimate_k_magnitude, 2)):
+    for run, n_sets, profile in ((run_phase_scan, 1, noise), (run_phase_of_k, 3, noise),
+                                 (run_case_comparison, 2, noise),
+                                 (estimate_k_magnitude, 2, noise),
+                                 (run_commutator_qpt, 1, NoiseProfile(master_seed=8))):
         calls.clear()
-        run(noise)
-        assert len(calls) <= most, run.__name__
-    calls.clear()
-    run_commutator_qpt(NoiseProfile(master_seed=8))
-    assert len(calls) == 1
+        records.clear()
+        run(profile)
+        assert len(records) == len(calls) == n_sets, run.__name__
 
 
 def test_noise_profile_rejects_counts_beyond_poisson_sampler():

@@ -7,7 +7,8 @@ config for every experiment in sampled and exact modes. Sampled qpt's
 digest does not pin the maximum-likelihood fit: for the README config all
 four QPT inputs have a physical linear-inversion state, which qst_mle
 returns unchanged. The projected path (a Bloch vector outside the unit
-ball) is pinned by the states of PROJECTED_MLE_STATES instead.
+ball) is pinned by the states of PROJECTED_MLE_STATES, and end to end by
+the digest of sampled qpt --ideal on the README config.
 calibrate-noise is left out because it runs hundreds of QPTs. Recorded with
 Python 3.11, numpy 2.4 on x86-64; another numpy/BLAS build may move the last
 digit of a float and needs new digests.
@@ -58,6 +59,13 @@ GOLDEN = {
                     "155dca3655028513d5192e21b9190fe2796055cc3d6a79c7b8cc2ad8a8e8048b"),
 }
 
+# sampled qpt --ideal on the README config: all four inputs take the projected
+# maximum-likelihood path (9, 12, 9 and 9 multiplier steps). Its fidelity
+# 1.0006 is clamped to 1 with a UserWarning, so this digest moves on purpose
+# once the estimator returns a physical chi by construction (ROADMAP item 1).
+GOLDEN_QPT_IDEAL = ("17e913a10d1ec21a32b5598ec65aac101b33ee002aca72a52fe24e2d6ac0e394",
+                    "57cfe6ca190df741735ee1ec9f31de0e6ca7027cb7934be7619eb59330859c02")
+
 
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -74,6 +82,15 @@ def test_golden_outputs(tmp_path, capsys, experiment, exact):
     assert main(argv) == 0
     capsys.readouterr()
     assert (_sha(out / "report.json"), _sha(out / "counts.csv")) == GOLDEN[experiment, exact]
+
+
+def test_golden_qpt_ideal_projected_mle(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    assert main(["qpt", "--ideal", "--config", str(cfg), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert (_sha(out / "report.json"), _sha(out / "counts.csv")) == GOLDEN_QPT_IDEAL
 
 
 # qst_mle(counts).rho on the projected path, recorded before the closed-form pair
