@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,6 +46,9 @@ MAX_MEAN_COUNTS = 1.0e18
 # QPT's six analyzer settings in the label order (A, D, H, L, R, V) it records and seeds
 _QPT_SETTINGS = sorted(tomography_settings(), key=lambda s: s.label)
 _ANALYZERS = np.array([s.projector for s in _QPT_SETTINGS])
+# the process matrix every QPT run is scored against
+_CHI_SIGMA_Y = chi_of_unitary(SIGMA_Y)
+_CHI_SIGMA_Y.flags.writeable = False
 # the mean process fidelity window calibrate_angle_noise aims for, and its bisection cap
 FIDELITY_WINDOW = (0.92, 0.96)
 MAX_BISECTIONS = 20
@@ -102,7 +106,19 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, with the
+        records, its last key, written one f-string each: a CountRecord holds
+        only plain ints and finite floats, whose repr is their JSON spelling."""
+        head = json.dumps({"derived": self.derived, "experiment_id": self.experiment_id,
+                           "inputs": self.inputs}, indent=2, sort_keys=True)[:-2]
+        if not self.records:
+            return head + ',\n  "records": []\n}'
+        rows = ",\n".join([
+            f'    {{\n      "counts": {r.counts!r},\n      "duration": {r.duration!r},'
+            f'\n      "phi": {r.phi!r},\n      "port": "{r.port.value}",'
+            f'\n      "setting": {encode_basestring_ascii(r.setting_label)}\n    }}'
+            for r in self.records])
+        return f'{head},\n  "records": [\n{rows}\n  ]\n}}'
 
     def counts_csv(self) -> str:
         return records_to_csv(self.records)
@@ -254,7 +270,7 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
             mle_converged = mle_converged and mle.converged
             outputs[label] = mle.rho
     result = qpt_reconstruct(outputs)
-    fid = process_fidelity(result.chi, chi_of_unitary(SIGMA_Y))
+    fid = process_fidelity(result.chi, _CHI_SIGMA_Y)
     derived = {
         "process_fidelity": fid,
         "chi": chi_to_json(result.chi),

@@ -34,6 +34,8 @@ class SourceModel:
     def __post_init__(self):
         if not (0.0 < self.pair_rate < math.inf and 0.0 < self.integration_time < math.inf):
             raise ValueError("pair_rate and integration_time must be finite and > 0")
+        if type(self.integration_time) not in (int, float):  # every record's duration
+            raise ValueError("integration_time must be a plain int or float")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,12 @@ class CountRecord:
     counts: float  # integer for sampled data, float in exact-probability mode
 
     def __post_init__(self):
+        # report.json writes these numbers with repr, which is their JSON
+        # spelling only for a plain int or a finite float
+        for v in (self.counts, self.phi, self.duration):
+            if type(v) is not int and (type(v) is not float or not math.isfinite(v)):
+                raise ValueError(f"counts, phi and duration must be plain ints or finite "
+                                 f"floats, not {v!r}")
         if self.counts < 0:
             raise ValueError("counts must be >= 0")
         if self.duration <= 0:
@@ -195,9 +203,8 @@ def records_to_csv(records: list[CountRecord]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["setting", "phi", "port", "duration", "counts"])
-    for r in records:
-        w.writerow([r.setting_label, repr(float(r.phi)), r.port.value,
-                    repr(float(r.duration)), r.counts])
+    w.writerows([[r.setting_label, repr(float(r.phi)), r.port.value,
+                  repr(float(r.duration)), r.counts] for r in records])
     return buf.getvalue()
 
 
@@ -214,11 +221,29 @@ class FringeFit:
     amplitude_stderr: float
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_design(grid: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's design matrix on a phase grid (a float64 array's bytes) and
+    the inverse of its normal matrix, both read-only.  Every fringe scan of a
+    run shares one grid, so both are built once per grid; a degenerate grid
+    raises DegenerateScan, which is not cached."""
+    phis = np.frombuffer(grid)
+    if len(np.unique(phis)) < 5:
+        raise DegenerateScan("need at least 5 distinct phase points")
+    if phis.max() - phis.min() < math.pi:
+        raise DegenerateScan(f"phase span {phis.max() - phis.min():.3f} < pi")
+    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    normal_inv = np.linalg.inv(design.T @ design)
+    design.flags.writeable = normal_inv.flags.writeable = False
+    return design, normal_inv
+
+
 def fit_sinusoid(phis, counts) -> FringeFit:
     """Fit a single-period sinusoid to a phase scan.
 
     The model is linear in (offset, amplitude*cos(phase), amplitude*sin(phase)),
-    so the fit is an exact linear least squares with no iteration.  Raises
+    so the fit is an exact linear least squares with no iteration, on one
+    cached design matrix per phase grid (``_scan_design``).  Raises
     DegenerateScan when fewer than 5 distinct phases or a span below pi;
     flat data comes back with fringe_visibility 0 rather than an error.
     """
@@ -226,12 +251,7 @@ def fit_sinusoid(phis, counts) -> FringeFit:
     counts = np.asarray(counts, dtype=float)
     if phis.shape != counts.shape or phis.ndim != 1:
         raise ValueError("phis and counts must be 1-d arrays of equal length")
-    if len(np.unique(phis)) < 5:
-        raise DegenerateScan("need at least 5 distinct phase points")
-    if phis.max() - phis.min() < math.pi:
-        raise DegenerateScan(f"phase span {phis.max() - phis.min():.3f} < pi")
-
-    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    design, normal_inv = _scan_design(phis.tobytes())
     coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
     a0, a1, a2 = coef
     amplitude = math.hypot(a1, a2)
@@ -240,7 +260,7 @@ def fit_sinusoid(phis, counts) -> FringeFit:
     resid = counts - design @ coef
     dof = max(len(counts) - 3, 1)
     sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    cov = sigma2 * normal_inv
     if amplitude > 0:
         # d(phase)/d(a1,a2) = (-a2, a1)/amp^2 ; d(amp)/d(a1,a2) = (a1, a2)/amp
         j_ph = np.array([-a2, a1]) / amplitude**2
@@ -276,12 +296,14 @@ class PhaseCalibration:
 def calibrate_phase(scan: list[CountRecord]) -> PhaseCalibration:
     """Locate the mirror phase where D1 is maximal and D2 minimal.
 
-    Expects a scan taken with all plates at sigma_z (both fringes present).
-    The D1 maximum sits at its fitted phase; the D2 minimum sits at its
-    fitted phase + pi.  The two estimates are combined by inverse-variance
-    weighting; a disagreement beyond 5 combined standard errors (floor
-    1e-6 rad for noiseless data) raises CalibrationInconsistent.  Period
-    aliases are resolved toward the scan midpoint.
+    Expects a scan taken with all plates at sigma_z: both fringes must be
+    present, and a flat one (fringe_visibility 0) raises DegenerateScan, as
+    its fitted phase is only noise.  The D1 maximum sits at its fitted
+    phase; the D2 minimum sits at its fitted phase + pi.  The two estimates
+    are combined by inverse-variance weighting; a disagreement beyond 5
+    combined standard errors (floor 1e-6 rad for noiseless data) raises
+    CalibrationInconsistent.  Period aliases are resolved toward the scan
+    midpoint.
     """
     d1 = [r for r in scan if r.port is Port.D1]
     d2 = [r for r in scan if r.port is Port.D2]
@@ -289,6 +311,9 @@ def calibrate_phase(scan: list[CountRecord]) -> PhaseCalibration:
         raise ValueError("scan must contain records for both D1 and D2")
     fit1 = fit_sinusoid([r.phi for r in d1], [r.counts for r in d1])
     fit2 = fit_sinusoid([r.phi for r in d2], [r.counts for r in d2])
+    for port, fit in (("D1", fit1), ("D2", fit2)):
+        if fit.fringe_visibility == 0.0:
+            raise DegenerateScan(f"{port} fringe is flat: no phase to calibrate")
 
     mid = 0.5 * (min(r.phi for r in scan) + max(r.phi for r in scan))
     est1 = _wrap_near(fit1.phase, mid)

@@ -89,10 +89,11 @@ def test_bad_config_file(tmp_path, capsys):
     '{"noise": {"waveplate_angle_sigma": 3.2}}',
     '{"nosie": {"visibility": 0.1}}',
     '{"input_state": {"hwp": 0.3, "qwp": 0, "hwq": 0.1}}',
+    '{"noise": {"source": {"integration_time": true}}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
         "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
-        "unknown-top-level-key", "unknown-input-state-key"])
+        "unknown-top-level-key", "unknown-input-state-key", "bool-integration-time"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -146,6 +147,24 @@ def test_case_compare_without_photons_is_experiment_error(tmp_path, capsys, exac
     code, _, err = run_cli(argv + ["--exact-probabilities"] * exact, capsys)
     assert code == 3
     assert err.startswith("experiment error (EmptyData)") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment,noise,exact", [
+    ("phase-scan", {"detector": {"efficiency": 0.0}}, False),
+    ("phase-scan", {"detector": {"efficiency": 0.0}}, True),
+    ("phase-scan", {"visibility": 0.0}, False),
+    ("estimate-k", {"visibility": 0.0, "phase_offset_error": 0.2}, False),
+], ids=["no-photons-sampled", "no-photons-exact", "no-visibility", "estimate-k-offset"])
+def test_flat_calibration_scan_is_experiment_error(tmp_path, capsys, experiment, noise,
+                                                   exact):
+    # a flat phi0 scan has no phase to find: its fitted phase is atan2 of
+    # noise or of zeros, so calibrating on it would report a made-up phi0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": noise}))
+    argv = [experiment, "--config", str(cfg), "--output", str(tmp_path)]
+    code, _, err = run_cli(argv + ["--exact-probabilities"] * exact, capsys)
+    assert code == 3
+    assert err.startswith("experiment error (DegenerateScan)") and err.count("\n") == 1
 
 
 def test_calibration_outside_fidelity_window_is_experiment_error(tmp_path, capsys,

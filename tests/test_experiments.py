@@ -1,17 +1,19 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
-from pauli_interference.experiments import (NoiseProfile, estimate_k_magnitude,
-                                            mean_qpt_fidelity, run_case_comparison,
-                                            run_commutator_qpt, run_phase_of_k,
-                                            run_phase_scan)
+from pauli_interference.experiments import (ExperimentReport, NoiseProfile,
+                                            estimate_k_magnitude, mean_qpt_fidelity,
+                                            run_case_comparison, run_commutator_qpt,
+                                            run_phase_of_k, run_phase_scan)
 from pauli_interference.optics import half_wave, prepare_state, quarter_wave
-from pauli_interference.photon_stats import DetectorModel, SourceModel
+from pauli_interference.photon_stats import CountRecord, DetectorModel, SourceModel
 from pauli_interference.qubit import PureState
 
 
@@ -274,3 +276,34 @@ def test_source_scaling():
     report = run_case_comparison(noise)
     bright = [r for r in report.records if r.counts > 0]
     assert max(r.counts for r in bright) == pytest.approx(4000.0, abs=1e-6)
+
+
+# the floats where repr and JSON could part: signed zero, the smallest
+# subnormal, the largest magnitudes
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                 1.7976931348623157e308])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+_LABELS = st.text() | st.sampled_from(["qpt:H:A", "caf\u00e9 \u03c6\U0001f600", '"\\\n\t\x00\x7f'])
+_RECORDS = st.lists(st.builds(
+    CountRecord, setting_label=_LABELS, phi=_FINITE | st.integers(),
+    port=st.sampled_from(optics.Port),
+    duration=st.floats(min_value=5e-324, allow_infinity=False) | st.integers(1, 10**30),
+    counts=st.integers(0, 10**30) | st.floats(min_value=0.0, allow_infinity=False)
+    | st.just(-0.0)), max_size=6)
+_VALUES = (st.floats() | st.integers() | st.booleans() | st.none() | _LABELS
+           | st.lists(st.floats(), max_size=3))
+_DICTS = st.dictionaries(_LABELS, _VALUES | st.dictionaries(_LABELS, _VALUES, max_size=3),
+                         max_size=5)
+
+
+@given(st.builds(ExperimentReport, experiment_id=_LABELS, inputs=_DICTS,
+                 records=_RECORDS, derived=_DICTS))
+@example(ExperimentReport("qpt", {}, [], {"nan": math.nan, "inf": math.inf,
+                                         "-inf": -math.inf}))
+@example(ExperimentReport("phase-scan", {"n": 1},
+                          [CountRecord("a", -0.0, optics.Port.D2, 5e-324, 0),
+                           CountRecord("\u00e9\"\n", 1e308, optics.Port.D1, 1, -0.0)], {}))
+def test_report_json_is_indent2_sorted_dumps(report):
+    # the records are written by hand; every byte must still be json's
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+

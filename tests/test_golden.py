@@ -3,10 +3,10 @@ maximum-likelihood states of fixed count sets.
 
 The digests pin the byte-identical output guarantee across refactors, not
 only between two runs of the same code. They cover the README's example
-config for every experiment in sampled and exact modes. Sampled qpt's
-digest does not pin the maximum-likelihood fit: for the README config all
-four QPT inputs have a physical linear-inversion state, which qst_mle
-returns unchanged. The projected path (a Bloch vector outside the unit
+config for every experiment in sampled and exact modes, and qpt's chi.json.
+Sampled qpt's digest does not pin the maximum-likelihood fit: for the
+README config all four QPT inputs have a physical linear-inversion state,
+which qst_mle returns unchanged. The projected path (a Bloch vector outside the unit
 ball) is pinned by the states of PROJECTED_MLE_STATES, and end to end by
 the digest of sampled qpt --ideal on the README config.
 calibrate-noise is left out because it runs hundreds of QPTs. Recorded with
@@ -66,6 +66,15 @@ GOLDEN = {
 GOLDEN_QPT_IDEAL = ("17e913a10d1ec21a32b5598ec65aac101b33ee002aca72a52fe24e2d6ac0e394",
                     "57cfe6ca190df741735ee1ec9f31de0e6ca7027cb7934be7619eb59330859c02")
 
+# sha256 of qpt's chi.json on the README config, keyed by the extra flag:
+# sampled, exact, and sampled --ideal. The --ideal digest moves with
+# GOLDEN_QPT_IDEAL's when chi becomes physical by construction (ROADMAP item 1).
+GOLDEN_CHI = {
+    None: "50f6080c15b48131f86e4ff38e7539fdcad8901664084fc6a4eb91c6e34fcf8f",
+    "--exact-probabilities": "af4652e091521932fc83b9cef83d6525f3d53af76183d685ae8347bd73328dc3",
+    "--ideal": "cd124fdee7295950fbeac9b5721b249ef8bca6293a673c85af0e01f88ff92b7a",
+}
+
 
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -91,6 +100,16 @@ def test_golden_qpt_ideal_projected_mle(tmp_path, capsys):
     assert main(["qpt", "--ideal", "--config", str(cfg), "--output", str(out)]) == 0
     capsys.readouterr()
     assert (_sha(out / "report.json"), _sha(out / "counts.csv")) == GOLDEN_QPT_IDEAL
+
+
+@pytest.mark.parametrize("flag", list(GOLDEN_CHI), ids=["sampled", "exact", "ideal"])
+def test_golden_qpt_chi(tmp_path, capsys, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    assert main(["qpt", "--config", str(cfg), "--output", str(out)] + [flag] * bool(flag)) == 0
+    capsys.readouterr()
+    assert _sha(out / "chi.json") == GOLDEN_CHI[flag]
 
 
 # qst_mle(counts).rho on the projected path, recorded before the closed-form pair

@@ -6,7 +6,7 @@ import pytest
 from pauli_interference.errors import CalibrationInconsistent, DegenerateScan
 from pauli_interference.optics import Port
 from pauli_interference.photon_stats import (CountRecord, DetectorModel, SourceModel,
-                                             _pcg64_state_words, calibrate_phase,
+                                             _pcg64_state_words, _scan_design, calibrate_phase,
                                              derive_seed, expected_rate, fit_sinusoid,
                                              records_to_csv, sample_counts)
 
@@ -36,6 +36,20 @@ def test_model_validation():
         DetectorModel(dark_rate=-1.0)
     with pytest.raises(ValueError):
         CountRecord("s", 0.0, Port.D1, 1.0, -3)
+    with pytest.raises(ValueError):
+        SourceModel(integration_time=True)
+
+
+@pytest.mark.parametrize("field", ["counts", "phi", "duration"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, np.float64(1.0),
+                                 np.int64(1)], ids=["nan", "inf", "-inf", "bool", "float64",
+                                                    "int64"])
+def test_count_record_holds_plain_finite_numbers(field, bad):
+    # report.json writes a record's numbers with repr, JSON's spelling only
+    # of a plain int or a finite float
+    values = {"counts": 1, "phi": 0.5, "duration": 1.0, field: bad}
+    with pytest.raises(ValueError):
+        CountRecord("s", values["phi"], Port.D1, values["duration"], values["counts"])
 
 
 def test_sample_counts_zero_rate():
@@ -117,10 +131,33 @@ def test_fit_sinusoid_flat_data():
 
 
 def test_fit_sinusoid_degenerate_scans():
-    with pytest.raises(DegenerateScan):
-        fit_sinusoid(np.linspace(0, 2.0, 20), np.ones(20))  # span < pi
-    with pytest.raises(DegenerateScan):
-        fit_sinusoid([0.0, 1.0, 2.0, 6.0], [1, 2, 3, 4])  # too few points
+    for _ in range(2):  # the grid cache must not swallow the error on a second call
+        with pytest.raises(DegenerateScan):
+            fit_sinusoid(np.linspace(0, 2.0, 20), np.ones(20))  # span < pi
+        with pytest.raises(DegenerateScan):
+            fit_sinusoid([0.0, 1.0, 2.0, 6.0], [1, 2, 3, 4])  # too few points
+
+
+def test_fit_sinusoid_design_cached_per_grid():
+    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
+    counts = 500 + 300 * np.cos(phis - 0.4) + np.random.default_rng(3).normal(0, 5, 40)
+    _scan_design.cache_clear()
+    first = fit_sinusoid(phis, counts)
+    # the cached design is the one the fit built before caching
+    design, normal_inv = _scan_design(phis.tobytes())
+    reference = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    assert np.array_equal(design, reference)
+    assert np.array_equal(normal_inv, np.linalg.inv(reference.T @ reference))
+    coef, *_ = np.linalg.lstsq(reference, counts, rcond=None)
+    assert (first.offset, first.amplitude, first.phase) == (
+        coef[0], math.hypot(coef[1], coef[2]), math.atan2(coef[2], coef[1]))
+    # a repeated grid, from a list or from the array, hits the cache
+    assert fit_sinusoid(phis.tolist(), counts) == first
+    assert fit_sinusoid(phis, counts) == first
+    assert _scan_design.cache_info().misses == 1
+    assert not design.flags.writeable and not normal_inv.flags.writeable
+    with pytest.raises(ValueError):
+        design[0, 0] = 2.0
 
 
 def test_fit_phase_error_shrinks_with_counts():
@@ -157,6 +194,15 @@ def test_calibrate_phase_noiseless():
 def test_calibrate_phase_recovers_injected_offset():
     cal = calibrate_phase(_case_i_scan(offset_phi=0.3, scale=10_000, seed=5))
     assert cal.phi0 == pytest.approx(0.3, abs=0.01)
+
+
+@pytest.mark.parametrize("flat_port", [Port.D1, Port.D2])
+def test_calibrate_phase_refuses_flat_fringe(flat_port):
+    # a flat fringe's fitted phase is atan2 of noise or of zeros
+    records = [r if r.port is not flat_port else CountRecord("cal", r.phi, r.port, 1.0, 0)
+               for r in _case_i_scan()]
+    with pytest.raises(DegenerateScan, match=f"{flat_port.value} fringe is flat"):
+        calibrate_phase(records)
 
 
 def test_calibrate_phase_inconsistent_fringes():
