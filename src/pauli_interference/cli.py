@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import errors
 from .experiments import (NoiseProfile, calibrate_angle_noise, estimate_k_magnitude,
-                          run_case_comparison, run_commutator_qpt, run_phase_of_k,
-                          run_phase_scan)
+                          json_text, run_case_comparison, run_commutator_qpt,
+                          run_phase_of_k, run_phase_scan)
 from .optics import half_wave, prepare_state, quarter_wave
 from .photon_stats import DetectorModel, SourceModel
 from .qubit import STATE_V
@@ -72,7 +72,7 @@ def load_noise_profile(cfg: dict, args) -> NoiseProfile:
         detector = DetectorModel(**noise_cfg.pop("detector", {}))
         source = SourceModel(**noise_cfg.pop("source", {}))
         noise = NoiseProfile(detector=detector, source=source, **noise_cfg)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad noise profile: {exc}") from exc
     if args.ideal:
         noise = replace(noise, waveplate_angle_sigma=0.0, phase_offset_error=0.0,
@@ -91,9 +91,11 @@ def load_input_state(cfg: dict):
     if isinstance(angles, dict) and (unknown := angles.keys() - {"hwp", "qwp"}):
         raise ConfigError(f"bad input_state: unknown keys {sorted(unknown)}")
     try:
-        return prepare_state(half_wave(float(angles["hwp"])),
-                             quarter_wave(float(angles["qwp"])))
-    except (KeyError, TypeError, ValueError) as exc:
+        hwp, qwp = angles["hwp"], angles["qwp"]
+        if isinstance(hwp, bool) or isinstance(qwp, bool):
+            raise ValueError("angles must be numbers, not true or false")
+        return prepare_state(half_wave(float(hwp)), quarter_wave(float(qwp)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad input_state (need hwp/qwp angles in rad): {exc}") from exc
 
 
@@ -147,8 +149,7 @@ def run(args) -> int:
     if args.format == "csv":
         (out_dir / "counts.csv").write_text(report.counts_csv())
     if "chi" in report.derived:
-        (out_dir / "chi.json").write_text(
-            json.dumps(report.derived["chi"], indent=2, sort_keys=True))
+        (out_dir / "chi.json").write_text(json_text(report.derived["chi"]))
     print_summary(experiment, report.derived)
     return 0
 

@@ -5,21 +5,25 @@ proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 Each run builds its interferometer (``_apparatus``) and arm operators once,
 and every click probability is a kernel call (``interference_probability``):
 over the whole mirror-phase grid for a fringe scan (``_fringe_scan``), or on
-a stack of arm pairs otherwise.  Every run's count records come from
-``_record``, which makes each rate ``expected_rate`` of a kernel probability
-and draws a record set's sampled counts in one batch (``sample_counts``);
-each caller names the seed key of every count.  All
-randomness flows from ``NoiseProfile.master_seed`` through the stable
-per-setting seed derivation in :mod:`photon_stats`, so a report is a pure
-function of its profile.  With ``exact_probabilities`` set, Poisson
-sampling is bypassed and counts are expected values (floats).
+a stack of arm pairs otherwise.  Every count comes from ``_counts``, which
+makes each rate ``expected_rate`` of a kernel probability and draws a
+record set's sampled counts in one batch (``sample_counts``); each caller
+names the seed key of every count.  ``_record`` makes count records only of
+the counts a report holds: the phi0 calibration behind a phase offset
+(``_calibrated_phi0``) fits the counts of its scan (``_phase_scan``)
+directly and builds no record and no report.  All randomness flows from
+``NoiseProfile.master_seed`` through the stable per-setting seed derivation
+in :mod:`photon_stats`, so a report is a pure function of its profile.
+With ``exact_probabilities`` set, Poisson sampling is bypassed and counts
+are expected values (floats).  ``json_text`` writes ``report.json``'s head
+and ``chi.json`` exactly as ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -30,8 +34,8 @@ from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
                      # both unused here: perfbench/tracing.py wraps them
                      conditional_output_state, detection_probability)
 from .photon_stats import (CountRecord, DetectorModel, SourceModel, _wrap_near,
-                           calibrate_phase, derive_seed, expected_rate, fit_sinusoid,
-                           records_to_csv, sample_counts)
+                           calibrate_fringes, calibrate_phase, derive_seed, expected_rate,
+                           fit_sinusoid, records_to_csv, reject_bools, sample_counts)
 from .qubit import SIGMA_Y, PureState, STATE_V
 from .tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES, chi_of_unitary,
                          chi_to_json, process_fidelity, qpt_reconstruct, qst_linear,
@@ -67,6 +71,7 @@ class NoiseProfile:
     exact_probabilities: bool = False
 
     def __post_init__(self):
+        reject_bools(self, "waveplate_angle_sigma", "phase_offset_error", "visibility")
         # a plate angle counts mod pi, so a Gaussian error with sigma = pi is
         # already uniform to about 3e-9; a wider one only risks an infinite draw
         if not 0.0 <= self.waveplate_angle_sigma <= math.pi:
@@ -86,6 +91,43 @@ class NoiseProfile:
     @classmethod
     def ideal(cls, master_seed: int = 0, exact_probabilities: bool = True) -> "NoiseProfile":
         return cls(master_seed=master_seed, exact_probabilities=exact_probabilities)
+
+
+def json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested at ``indent``.
+
+    One recursive pass over str-keyed dicts, lists and tuples, writing each
+    scalar as json does, and a [re, im] pair of finite floats in one step.
+    Any other value goes to json.dumps and is re-indented, so the text, or
+    the TypeError, is always json's.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if (len(value) == 2 and type(value[0]) is float is type(value[1])
+                and math.isfinite(value[0]) and math.isfinite(value[1])):
+            return f"[\n{inner}{value[0]!r},\n{inner}{value[1]!r}\n{indent}]"
+        items = [json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{encode_basestring_ascii(k)}: {json_text(value[k], inner)}"
+                 for k in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 @dataclass
@@ -109,8 +151,8 @@ class ExperimentReport:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, with the
         records, its last key, written one f-string each: a CountRecord holds
         only plain ints and finite floats, whose repr is their JSON spelling."""
-        head = json.dumps({"derived": self.derived, "experiment_id": self.experiment_id,
-                           "inputs": self.inputs}, indent=2, sort_keys=True)[:-2]
+        head = json_text({"derived": self.derived, "experiment_id": self.experiment_id,
+                          "inputs": self.inputs})[:-2]
         if not self.records:
             return head + ',\n  "records": []\n}'
         rows = ",\n".join([
@@ -125,7 +167,10 @@ class ExperimentReport:
 
 
 def _profile_echo(noise: NoiseProfile, **extra) -> dict:
-    return {**asdict(noise), **extra}
+    """``{**asdict(noise), **extra}`` in fresh dicts, without asdict's deep
+    copy: the detector and source are flat, and every other field a scalar."""
+    return {**vars(noise), "detector": {**vars(noise.detector)},
+            "source": {**vars(noise.source)}, **extra}
 
 
 def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> InterferometerConfig:
@@ -142,42 +187,56 @@ def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> Interfe
     return replace(cfg, **plates)
 
 
-def _record(p, noise: NoiseProfile,
-            cells: list[tuple[str, float, Port, str, int]]) -> list[CountRecord]:
-    """The count records of every run: one per click probability in p, taken
-    row-major, at its cell (setting label, mirror phase, port, seed label,
-    seed index).  A sampled count is seeded by its cell's (seed label, seed
-    index), and all are drawn in one batch."""
+_Cell = tuple[str, float, Port, str, int]
+
+
+def _counts(p, noise: NoiseProfile, cells: list[_Cell]) -> list:
+    """The counts at every click probability in p, taken row-major, and the
+    only place that turns probabilities into counts: expected values, or
+    Poisson draws in one batch, each seeded by its cell's last two entries
+    (seed label, seed index)."""
     rate = expected_rate(np.ravel(p), noise.source, noise.detector)
     t = noise.source.integration_time
     if noise.exact_probabilities:
-        counts = (rate * t).tolist()
-    else:
-        counts = sample_counts(rate, t, [derive_seed(noise.master_seed, key, i)
-                                         for *_, key, i in cells])
+        return (rate * t).tolist()
+    return sample_counts(rate, t, [derive_seed(noise.master_seed, key, i)
+                                   for *_, key, i in cells])
+
+
+def _record(p, noise: NoiseProfile, cells: list[_Cell]) -> list[CountRecord]:
+    """A report's count records: one per click probability in p, taken
+    row-major, at its cell (setting label, mirror phase, port, seed label,
+    seed index), with its count from ``_counts``."""
+    t = noise.source.integration_time
     return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
-            for (label, phi, port, _, _), n in zip(cells, counts)]
+            for (label, phi, port, _, _), n in zip(cells, _counts(p, noise, cells))]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
-                 label: str, outputs: tuple) -> list[CountRecord]:
-    """Records of a mirror-phase scan over fixed arm operators a, b, phi-major;
-    ``outputs`` lists the (recorded port, cross-term sign) pairs at each phase.
-    Each output's probabilities over the whole phi grid are one array pass."""
+                 label: str, outputs: tuple) -> tuple[np.ndarray, list[_Cell]]:
+    """A mirror-phase scan over fixed arm operators a, b: its click
+    probabilities, phi-major, and their cells; ``outputs`` lists the
+    (recorded port, cross-term sign) pairs at each phase.  Each output's
+    probabilities over the whole phi grid are one array pass."""
     phis = _SCAN_PHIS - noise.phase_offset_error
     p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
                          for _, sign in outputs])
-    return _record(p, noise, [(label, phi, port, f"{label}:{port.value}", i)
-                              for i, phi in enumerate(_SCAN_PHIS.tolist())
-                              for port, _ in outputs])
+    keys = [(port, f"{label}:{port.value}") for port, _ in outputs]
+    return p, [(label, phi, port, key, i) for i, phi in enumerate(_SCAN_PHIS.tolist())
+               for port, key in keys]
+
+
+def _phase_scan(noise: NoiseProfile, psi0: PureState) -> tuple[np.ndarray, list[_Cell]]:
+    """The phi0 calibration scan, all plates at sigma_z: D1 and D2 at each phase."""
+    # the scan sets the mirror phase itself, so the apparatus phi0 is unused
+    a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
+    return _fringe_scan(a, b, noise, psi0, "phase-scan", ((Port.D1, 1.0), (Port.D2, -1.0)))
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Scan the mirror phase with all plates at sigma_z and calibrate phi0."""
-    # the scan sets the mirror phase itself, so the apparatus phi0 is unused
-    a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
-    records = _fringe_scan(a, b, noise, psi0, "phase-scan",
-                           ((Port.D1, 1.0), (Port.D2, -1.0)))
+    p, cells = _phase_scan(noise, psi0)
+    records = _record(p, noise, cells)
     cal = calibrate_phase(records)
     derived = {
         "phi0": cal.phi0,
@@ -202,10 +261,13 @@ def _visibility_stderr(fit) -> float:
 
 
 def _calibrated_phi0(noise: NoiseProfile) -> float:
-    """phi0 for downstream runs: calibrate only when there is something to find."""
+    """phi0 for downstream runs: calibrate only when there is something to find.
+    It is run_phase_scan's phi0, fitted straight from the scan's counts."""
     if noise.phase_offset_error == 0.0:
         return 0.0
-    return run_phase_scan(noise).derived["phi0"]
+    p, cells = _phase_scan(noise, STATE_V)
+    counts = _counts(p, noise, cells)
+    return calibrate_fringes(_SCAN_PHIS, counts[0::2], _SCAN_PHIS, counts[1::2]).phi0
 
 
 def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -327,7 +389,8 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
     records, fits = [], {}
     for scan_label, (m1, m2) in (("commutator", (m_com, SIGMA_Y)),
                                  ("reference", (SIGMA_Y, SIGMA_Y))):
-        scan = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}", ((Port.D2, 1.0),))
+        p, cells = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}", ((Port.D2, 1.0),))
+        scan = _record(p, noise, cells)
         records += scan
         fit = fit_sinusoid(_SCAN_PHIS, [rec.counts for rec in scan])
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:

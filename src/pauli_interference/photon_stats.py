@@ -11,17 +11,23 @@ in one array pass (``_pcg64_state_words``), bit for bit what
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
-import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationInconsistent, DegenerateScan
 from .optics import Port
+
+
+def reject_bools(obj, *names: str) -> None:
+    """A JSON true or false is no number, though Python's bool is an int."""
+    for name in names:
+        if isinstance(getattr(obj, name), bool):
+            raise ValueError(f"{name} must be a number, not {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,7 @@ class SourceModel:
     integration_time: float = 1.0
 
     def __post_init__(self):
+        reject_bools(self, "pair_rate")
         if not (0.0 < self.pair_rate < math.inf and 0.0 < self.integration_time < math.inf):
             raise ValueError("pair_rate and integration_time must be finite and > 0")
         if type(self.integration_time) not in (int, float):  # every record's duration
@@ -44,6 +51,7 @@ class DetectorModel:
     dark_rate: float = 0.0
 
     def __post_init__(self):
+        reject_bools(self, "efficiency", "dark_rate")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_rate < math.inf:
@@ -199,13 +207,19 @@ def sample_counts(rate, duration: float, seed):
     return counts[0] if means.ndim == 0 else counts
 
 
+# the characters for which csv.writer (excel dialect, lineterminator "\n") quotes a field
+_CSV_QUOTED = re.compile('[,"\n]')
+
+
 def records_to_csv(records: list[CountRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["setting", "phi", "port", "duration", "counts"])
-    w.writerows([[r.setting_label, repr(float(r.phi)), r.port.value,
-                  repr(float(r.duration)), r.counts] for r in records])
-    return buf.getvalue()
+    """``csv.writer(buf, lineterminator="\\n")``'s text for a header and one row
+    per record, written one f-string per row: only a label can need quoting,
+    and it is quoted, with its quotes doubled, once per distinct label."""
+    labels = {label: '"' + label.replace('"', '""') + '"' if _CSV_QUOTED.search(label) else label
+              for label in {r.setting_label for r in records}}
+    return "setting,phi,port,duration,counts\n" + "".join([
+        f"{labels[r.setting_label]},{float(r.phi)!r},{r.port.value},{float(r.duration)!r},"
+        f"{r.counts}\n" for r in records])
 
 
 @dataclass(frozen=True)
@@ -294,28 +308,36 @@ class PhaseCalibration:
 
 
 def calibrate_phase(scan: list[CountRecord]) -> PhaseCalibration:
-    """Locate the mirror phase where D1 is maximal and D2 minimal.
-
-    Expects a scan taken with all plates at sigma_z: both fringes must be
-    present, and a flat one (fringe_visibility 0) raises DegenerateScan, as
-    its fitted phase is only noise.  The D1 maximum sits at its fitted
-    phase; the D2 minimum sits at its fitted phase + pi.  The two estimates
-    are combined by inverse-variance weighting; a disagreement beyond 5
-    combined standard errors (floor 1e-6 rad for noiseless data) raises
-    CalibrationInconsistent.  Period aliases are resolved toward the scan
-    midpoint.
-    """
+    """Locate the mirror phase where D1 is maximal and D2 minimal, from a
+    scan's count records (see ``calibrate_fringes``)."""
     d1 = [r for r in scan if r.port is Port.D1]
     d2 = [r for r in scan if r.port is Port.D2]
     if not d1 or not d2:
         raise ValueError("scan must contain records for both D1 and D2")
-    fit1 = fit_sinusoid([r.phi for r in d1], [r.counts for r in d1])
-    fit2 = fit_sinusoid([r.phi for r in d2], [r.counts for r in d2])
+    return calibrate_fringes([r.phi for r in d1], [r.counts for r in d1],
+                             [r.phi for r in d2], [r.counts for r in d2])
+
+
+def calibrate_fringes(d1_phis, d1_counts, d2_phis, d2_counts) -> PhaseCalibration:
+    """Locate the mirror phase where D1 is maximal and D2 minimal.
+
+    Expects the D1 and D2 fringes of a scan taken with all plates at
+    sigma_z: a flat one (fringe_visibility 0) raises DegenerateScan, as its
+    fitted phase is only noise.  The D1 maximum sits at its fitted phase;
+    the D2 minimum sits at its fitted phase + pi.  The two estimates are
+    combined by inverse-variance weighting; a disagreement beyond 5
+    combined standard errors (floor 1e-6 rad for noiseless data) raises
+    CalibrationInconsistent.  Period aliases are resolved toward the
+    midpoint of both ports' phases.
+    """
+    fit1 = fit_sinusoid(d1_phis, d1_counts)
+    fit2 = fit_sinusoid(d2_phis, d2_counts)
     for port, fit in (("D1", fit1), ("D2", fit2)):
         if fit.fringe_visibility == 0.0:
             raise DegenerateScan(f"{port} fringe is flat: no phase to calibrate")
 
-    mid = 0.5 * (min(r.phi for r in scan) + max(r.phi for r in scan))
+    phis = np.concatenate([np.asarray(d1_phis, dtype=float), np.asarray(d2_phis, dtype=float)])
+    mid = 0.5 * (float(phis.min()) + float(phis.max()))
     est1 = _wrap_near(fit1.phase, mid)
     est2 = _wrap_near(fit2.phase + math.pi, mid)
     se1, se2 = fit1.phase_stderr, fit2.phase_stderr

@@ -12,6 +12,10 @@ from pauli_interference.cli import main
 from pauli_interference.optics import case_i
 
 
+# a 401-digit JSON integer: Python reads it exactly, but no float holds it
+_HUGE = "9" * 401
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -90,10 +94,29 @@ def test_bad_config_file(tmp_path, capsys):
     '{"nosie": {"visibility": 0.1}}',
     '{"input_state": {"hwp": 0.3, "qwp": 0, "hwq": 0.1}}',
     '{"noise": {"source": {"integration_time": true}}}',
+    # integers too large for a float
+    f'{{"noise": {{"source": {{"integration_time": {_HUGE}}}}}}}',
+    f'{{"noise": {{"source": {{"pair_rate": {_HUGE}}}}}}}',
+    f'{{"noise": {{"detector": {{"dark_rate": {_HUGE}}}}}}}',
+    f'{{"noise": {{"phase_offset_error": {_HUGE}}}}}',
+    f'{{"input_state": {{"hwp": {_HUGE}, "qwp": 0}}}}',
+    # a JSON boolean is no number, though Python's bool is an int
+    '{"noise": {"visibility": true}}',
+    '{"noise": {"phase_offset_error": false}}',
+    '{"noise": {"waveplate_angle_sigma": false}}',
+    '{"noise": {"detector": {"efficiency": true}}}',
+    '{"noise": {"detector": {"dark_rate": false}}}',
+    '{"noise": {"source": {"pair_rate": true}}}',
+    '{"input_state": {"hwp": true, "qwp": 0}}',
+    '{"input_state": {"hwp": 0, "qwp": false}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
         "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
-        "unknown-top-level-key", "unknown-input-state-key", "bool-integration-time"])
+        "unknown-top-level-key", "unknown-input-state-key", "bool-integration-time",
+        "huge-int-integration-time", "huge-int-pair-rate", "huge-int-dark-rate",
+        "huge-int-phase-offset", "huge-int-input-state-angle", "bool-visibility",
+        "bool-phase-offset", "bool-angle-sigma", "bool-efficiency", "bool-dark-rate",
+        "bool-pair-rate", "bool-hwp", "bool-qwp"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -101,6 +124,22 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text):
                             "--output", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_int_config_values_accepted(tmp_path, capsys):
+    # a number field may be a JSON integer, only not true or false
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "noise": {"visibility": 1, "phase_offset_error": 1, "waveplate_angle_sigma": 0,
+                  "detector": {"efficiency": 1, "dark_rate": 0},
+                  "source": {"pair_rate": 10000, "integration_time": 1}},
+        "input_state": {"hwp": 1, "qwp": 0},
+    }))
+    code, _, _ = run_cli(["case-compare", "--config", str(cfg), "--exact-probabilities",
+                          "--output", str(tmp_path)], capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["inputs"]["visibility"] == 1 and report["inputs"]["phase_offset_error"] == 1
 
 
 def test_qpt_mle_converged_is_json_bool(tmp_path, capsys):

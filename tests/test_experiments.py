@@ -1,10 +1,10 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
@@ -109,15 +109,15 @@ def test_case_compare_and_estimate_k_build_their_arms_once(monkeypatch):
 
 
 def test_each_record_set_is_one_poisson_batch(monkeypatch):
-    # every record set comes from one _record call, the only place that turns
-    # click probabilities into counts, and its sampled counts from one
-    # sample_counts call: the phi0 calibration scan, then each of the run's own
+    # every record set's counts come from one _counts call, the only place
+    # that turns click probabilities into counts, and its sampled counts from
+    # one sample_counts call: the phi0 calibration scan, then each of the run's own
     calls, records = [], []
-    sampler, record = experiments.sample_counts, experiments._record
+    sampler, counter = experiments.sample_counts, experiments._counts
     monkeypatch.setattr(experiments, "sample_counts",
                         lambda *args: calls.append(args) or sampler(*args))
-    monkeypatch.setattr(experiments, "_record",
-                        lambda *args: records.append(args) or record(*args))
+    monkeypatch.setattr(experiments, "_counts",
+                        lambda *args: records.append(args) or counter(*args))
     noise = NoiseProfile(phase_offset_error=0.3, master_seed=8)
     for run, n_sets, profile in ((run_phase_scan, 1, noise), (run_phase_of_k, 3, noise),
                                  (run_case_comparison, 2, noise),
@@ -307,3 +307,92 @@ def test_report_json_is_indent2_sorted_dumps(report):
     # the records are written by hand; every byte must still be json's
     assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
+
+
+_PROFILES = st.builds(
+    NoiseProfile,
+    waveplate_angle_sigma=st.just(0.0) | st.floats(0.0, 1.0),
+    phase_offset_error=st.floats(-10.0, 10.0).filter(bool),
+    visibility=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    detector=st.builds(DetectorModel, efficiency=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                       dark_rate=st.just(0.0) | st.floats(0.0, 1e6)),
+    source=st.builds(SourceModel, pair_rate=st.floats(1.0, 1e7),
+                     integration_time=st.floats(1e-3, 10.0) | st.just(1)),
+    master_seed=st.integers(0, 2**64 - 1), exact_probabilities=st.booleans())
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(_PROFILES, st.sampled_from([0.0, 0.5]))
+@example(NoiseProfile(phase_offset_error=0.3, visibility=0.0, exact_probabilities=True), 0.0)
+@example(NoiseProfile(phase_offset_error=0.3, detector=DetectorModel(efficiency=0.0)), 0.0)
+@example(NoiseProfile(phase_offset_error=0.3, master_seed=8), 0.5)
+def test_calibrated_phi0_is_phase_scan_phi0(noise, d2_shift):
+    # the calibration fits the scan's counts without building its report; a
+    # D2 fringe shifted against D1 makes the fits disagree
+    kernel = experiments.interference_probability
+
+    def shifted(a, b, phi, visibility, psi0, sign):
+        return kernel(a, b, phi + d2_shift * (sign < 0), visibility, psi0, sign)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "interference_probability", shifted)
+        expected = _outcome(lambda: run_phase_scan(noise).derived["phi0"])
+        got = _outcome(lambda: experiments._calibrated_phi0(noise))
+    if isinstance(expected, float):
+        assert type(got) is float and got.hex() == expected.hex()
+    else:
+        assert got == expected
+
+
+def test_case_compare_builds_only_its_own_records(monkeypatch):
+    # the phi0 calibration scan behind a phase offset makes no count record
+    built = []
+    record = experiments.CountRecord
+    monkeypatch.setattr(experiments, "CountRecord",
+                        lambda **kw: built.append(kw) or record(**kw))
+    for exact in (False, True):
+        built.clear()
+        report = run_case_comparison(NoiseProfile(phase_offset_error=0.3, master_seed=8,
+                                                  exact_probabilities=exact))
+        assert len(built) == len(report.records) == 4
+
+
+_SCALARS = (st.floats() | _EDGE_FLOATS | st.integers() | st.integers(-2**80, 2**80)
+            | st.booleans() | st.none() | _LABELS | st.floats().map(np.float64))
+_JSON = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_LABELS, inner, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(), inner,
+                      max_size=3)
+    | st.lists(st.floats(), min_size=2, max_size=2)), max_leaves=30)
+
+
+@given(_JSON | st.lists(_JSON | st.just(np.int64(3)), max_size=3)
+       | st.dictionaries(_LABELS, _JSON | st.just(np.int64(3)), max_size=3))
+@example(np.int64(3))
+@example({"a": {1: "one", "b": "two"}})
+@example([[0.5, -0.0], [math.nan, 1.0], [math.inf, -math.inf], (5e-324, 1e308), [1, 2.0]])
+@example({"": {}, "x": [], "\u00e9": (), "y": ["caf\u00e9 \u03c6\U0001f600", None, True, False]})
+def test_json_text_is_indent2_sorted_dumps(value):
+    expected = _outcome(lambda: json.dumps(value, indent=2, sort_keys=True))
+    assert _outcome(lambda: experiments.json_text(value)) == expected
+
+
+@given(_PROFILES, st.dictionaries(st.sampled_from(["n_points", "visibility", "extra"]),
+                                  st.integers(), max_size=2))
+def test_profile_echo_is_asdict(noise, extra):
+    echo = experiments._profile_echo(noise, **extra)
+    before = asdict(noise)
+    expected = {**before, **extra}
+    assert echo == expected and list(echo) == list(expected)
+    assert list(echo["detector"]) == list(expected["detector"])
+    # fresh dicts: editing the echo leaves the frozen profile as it was
+    echo["detector"]["efficiency"] = echo["source"]["pair_rate"] = echo["visibility"] = -1
+    assert asdict(noise) == before

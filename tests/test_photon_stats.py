@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pauli_interference.errors import CalibrationInconsistent, DegenerateScan
 from pauli_interference.optics import Port
@@ -226,3 +229,29 @@ def test_records_to_csv_layout():
     assert lines[0] == "setting,phi,port,duration,counts"
     assert lines[1].startswith("a,0.5,D1,")
     assert len(lines) == 3
+
+
+def _csv_writer_text(records):
+    """The reference: the csv module's own output for the same rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["setting", "phi", "port", "duration", "counts"])
+    w.writerows([[r.setting_label, repr(float(r.phi)), r.port.value,
+                  repr(float(r.duration)), r.counts] for r in records])
+    return buf.getvalue()
+
+
+_CSV_LABELS = st.text() | st.text(alphabet=',"\n\r\t \x00a\u00e9')
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.builds(
+    CountRecord, setting_label=_CSV_LABELS, phi=_FINITE | st.integers(-2**53, 2**53),
+    port=st.sampled_from(Port), duration=st.floats(min_value=5e-324, allow_infinity=False)
+    | st.integers(1, 10**6),
+    counts=st.integers(0, 10**18) | st.floats(min_value=0.0, allow_infinity=False)
+    | st.just(-0.0)), max_size=8))
+@example([CountRecord(label, -0.0, Port.D1, 1, 0) for label in
+          ["", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "\r\n", " pad ", "\x00"]])
+def test_records_to_csv_is_csv_writer(records):
+    assert records_to_csv(records) == _csv_writer_text(records)
