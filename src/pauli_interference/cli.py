@@ -92,8 +92,8 @@ def load_input_state(cfg: dict):
         raise ConfigError(f"bad input_state: unknown keys {sorted(unknown)}")
     try:
         hwp, qwp = angles["hwp"], angles["qwp"]
-        if isinstance(hwp, bool) or isinstance(qwp, bool):
-            raise ValueError("angles must be numbers, not true or false")
+        if type(hwp) not in (int, float) or type(qwp) not in (int, float):
+            raise ValueError("angles must be numbers, not strings, true or false")
         return prepare_state(half_wave(float(hwp)), quarter_wave(float(qwp)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad input_state (need hwp/qwp angles in rad): {exc}") from exc
@@ -132,7 +132,7 @@ def run(args) -> int:
         cal = calibrate_angle_noise(noise)
         derived = {"waveplate_angle_sigma": cal.waveplate_angle_sigma,
                    "mean_fidelity": cal.mean_fidelity, "n_seeds": cal.n_seeds}
-        (out_dir / "report.json").write_text(json.dumps(derived, indent=2, sort_keys=True))
+        (out_dir / "report.json").write_text(json_text(derived))
         print_summary(experiment, derived)
         return 0
 

@@ -9,9 +9,10 @@ a stack of arm pairs otherwise.  Every count comes from ``_counts``, which
 makes each rate ``expected_rate`` of a kernel probability and draws a
 record set's sampled counts in one batch (``sample_counts``); each caller
 names the seed key of every count.  ``_record`` makes count records only of
-the counts a report holds: the phi0 calibration behind a phase offset
-(``_calibrated_phi0``) fits the counts of its scan (``_phase_scan``)
-directly and builds no record and no report.  All randomness flows from
+the counts a report holds.  One helper (``_calibrate``) takes the phi0
+calibration scan's counts and fits them (``calibrate_phase``): the phase
+scan reports both, and a run with a phase offset (``_calibrated_phi0``)
+keeps only phi0, building no record and no report.  All randomness flows from
 ``NoiseProfile.master_seed`` through the stable per-setting seed derivation
 in :mod:`photon_stats`, so a report is a pure function of its profile.
 With ``exact_probabilities`` set, Poisson sampling is bypassed and counts
@@ -33,8 +34,8 @@ from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
                      interference_probability, port_operator,
                      # both unused here: perfbench/tracing.py wraps them
                      conditional_output_state, detection_probability)
-from .photon_stats import (CountRecord, DetectorModel, SourceModel, _wrap_near,
-                           calibrate_fringes, calibrate_phase, derive_seed, expected_rate,
+from .photon_stats import (CountRecord, DetectorModel, PhaseCalibration, SourceModel,
+                           _wrap_near, calibrate_phase, derive_seed, expected_rate,
                            fit_sinusoid, records_to_csv, reject_bools, sample_counts)
 from .qubit import SIGMA_Y, PureState, STATE_V
 from .tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES, chi_of_unitary,
@@ -89,8 +90,8 @@ class NoiseProfile:
             raise ValueError(f"mean counts per setting exceed {MAX_MEAN_COUNTS:g}")
 
     @classmethod
-    def ideal(cls, master_seed: int = 0, exact_probabilities: bool = True) -> "NoiseProfile":
-        return cls(master_seed=master_seed, exact_probabilities=exact_probabilities)
+    def ideal(cls) -> "NoiseProfile":
+        return cls(exact_probabilities=True)
 
 
 def json_text(value, indent: str = "") -> str:
@@ -203,13 +204,12 @@ def _counts(p, noise: NoiseProfile, cells: list[_Cell]) -> list:
                                    for *_, key, i in cells])
 
 
-def _record(p, noise: NoiseProfile, cells: list[_Cell]) -> list[CountRecord]:
-    """A report's count records: one per click probability in p, taken
-    row-major, at its cell (setting label, mirror phase, port, seed label,
-    seed index), with its count from ``_counts``."""
+def _record(counts: list, noise: NoiseProfile, cells: list[_Cell]) -> list[CountRecord]:
+    """A report's count records: one per count from ``_counts``, at its cell
+    (setting label, mirror phase, port, seed label, seed index)."""
     t = noise.source.integration_time
     return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
-            for (label, phi, port, _, _), n in zip(cells, _counts(p, noise, cells))]
+            for (label, phi, port, _, _), n in zip(cells, counts)]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
@@ -226,18 +226,20 @@ def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureSt
                for port, key in keys]
 
 
-def _phase_scan(noise: NoiseProfile, psi0: PureState) -> tuple[np.ndarray, list[_Cell]]:
-    """The phi0 calibration scan, all plates at sigma_z: D1 and D2 at each phase."""
+def _calibrate(noise: NoiseProfile,
+               psi0: PureState) -> tuple[list[_Cell], list, PhaseCalibration]:
+    """The phi0 calibration: the cells and counts of a scan with all plates
+    at sigma_z, D1 and D2 at each phase, and the fit of its two fringes."""
     # the scan sets the mirror phase itself, so the apparatus phi0 is unused
     a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
-    return _fringe_scan(a, b, noise, psi0, "phase-scan", ((Port.D1, 1.0), (Port.D2, -1.0)))
+    p, cells = _fringe_scan(a, b, noise, psi0, "phase-scan", ((Port.D1, 1.0), (Port.D2, -1.0)))
+    counts = _counts(p, noise, cells)
+    return cells, counts, calibrate_phase(_SCAN_PHIS, counts[0::2], counts[1::2])
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Scan the mirror phase with all plates at sigma_z and calibrate phi0."""
-    p, cells = _phase_scan(noise, psi0)
-    records = _record(p, noise, cells)
-    cal = calibrate_phase(records)
+    cells, counts, cal = _calibrate(noise, psi0)
     derived = {
         "phi0": cal.phi0,
         "d1_offset": cal.d1_fit.offset, "d1_amplitude": cal.d1_fit.amplitude,
@@ -251,7 +253,7 @@ def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
         derived["d1_fringe_visibility_err"] = _visibility_stderr(cal.d1_fit)
         derived["d2_fringe_visibility_err"] = _visibility_stderr(cal.d2_fit)
     return ExperimentReport("phase-scan", _profile_echo(noise, n_points=N_SCAN_POINTS),
-                            records, derived)
+                            _record(counts, noise, cells), derived)
 
 
 def _visibility_stderr(fit) -> float:
@@ -262,12 +264,10 @@ def _visibility_stderr(fit) -> float:
 
 def _calibrated_phi0(noise: NoiseProfile) -> float:
     """phi0 for downstream runs: calibrate only when there is something to find.
-    It is run_phase_scan's phi0, fitted straight from the scan's counts."""
+    It is run_phase_scan's phi0, without its records and report."""
     if noise.phase_offset_error == 0.0:
         return 0.0
-    p, cells = _phase_scan(noise, STATE_V)
-    counts = _counts(p, noise, cells)
-    return calibrate_fringes(_SCAN_PHIS, counts[0::2], _SCAN_PHIS, counts[1::2]).phi0
+    return _calibrate(noise, STATE_V)[2].phi0
 
 
 def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -281,8 +281,9 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     a, b = map(np.stack, zip(*map(arm_operators, cfgs)))
     p = np.column_stack([interference_probability(a, b, cfgs[0].phi, cfgs[0].visibility,
                                                   psi0, sign) for sign in (1.0, -1.0)])
-    records = _record(p, noise, [(f"case-{name}", phi0, port, f"case-{name}:{port.value}", 0)
-                                 for name, _ in cases for port in ports])
+    cells = [(f"case-{name}", phi0, port, f"case-{name}:{port.value}", 0)
+             for name, _ in cases for port in ports]
+    records = _record(_counts(p, noise, cells), noise, cells)
     for (case_name, _), recs in zip(cases, (records[:2], records[2:])):
         total = sum(rec.counts for rec in recs)
         if total <= 0:
@@ -319,9 +320,9 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     a, b = (_ANALYZERS @ arm for arm in arm_operators(cfg))
     p = [interference_probability(a, b, cfg.phi, cfg.visibility, QPT_INPUT_STATES[label], -1.0)
          for label in QPT_INPUT_LABELS]
-    records = _record(p, noise, [(f"qpt:{label}:{s.label}", phi0, Port.D2,
-                                  f"qpt:{label}:{s.label}", i) for label in QPT_INPUT_LABELS
-                                 for i, s in enumerate(_QPT_SETTINGS)])
+    cells = [(f"qpt:{label}:{s.label}", phi0, Port.D2, f"qpt:{label}:{s.label}", i)
+             for label in QPT_INPUT_LABELS for i, s in enumerate(_QPT_SETTINGS)]
+    records = _record(_counts(p, noise, cells), noise, cells)
     outputs, mle_converged = {}, True
     for j, label in enumerate(QPT_INPUT_LABELS):
         counts = {s.label: rec.counts for s, rec in zip(_QPT_SETTINGS, records[6 * j:6 * j + 6])}
@@ -361,8 +362,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     zero = np.zeros_like(a)  # a blocked arm's operator is zero
     p = interference_probability(np.stack([a, zero, a]), np.stack([b, b, zero]),
                                  cfg.phi, cfg.visibility, psi0, -1.0)
-    records = _record(p, noise, [(f"k:{label}", phi0, Port.D2, f"k:{label}:D2", 0)
-                                 for label in sub_runs])
+    cells = [(f"k:{label}", phi0, Port.D2, f"k:{label}:D2", 0) for label in sub_runs]
+    records = _record(_counts(p, noise, cells), noise, cells)
     corrected = {label: max(rec.counts - dark, 0.0) for label, rec in zip(sub_runs, records)}
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
@@ -390,7 +391,7 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
     for scan_label, (m1, m2) in (("commutator", (m_com, SIGMA_Y)),
                                  ("reference", (SIGMA_Y, SIGMA_Y))):
         p, cells = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}", ((Port.D2, 1.0),))
-        scan = _record(p, noise, cells)
+        scan = _record(_counts(p, noise, cells), noise, cells)
         records += scan
         fit = fit_sinusoid(_SCAN_PHIS, [rec.counts for rec in scan])
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:

@@ -307,36 +307,25 @@ class PhaseCalibration:
     d2_fit: FringeFit
 
 
-def calibrate_phase(scan: list[CountRecord]) -> PhaseCalibration:
-    """Locate the mirror phase where D1 is maximal and D2 minimal, from a
-    scan's count records (see ``calibrate_fringes``)."""
-    d1 = [r for r in scan if r.port is Port.D1]
-    d2 = [r for r in scan if r.port is Port.D2]
-    if not d1 or not d2:
-        raise ValueError("scan must contain records for both D1 and D2")
-    return calibrate_fringes([r.phi for r in d1], [r.counts for r in d1],
-                             [r.phi for r in d2], [r.counts for r in d2])
-
-
-def calibrate_fringes(d1_phis, d1_counts, d2_phis, d2_counts) -> PhaseCalibration:
+def calibrate_phase(phis, d1_counts, d2_counts) -> PhaseCalibration:
     """Locate the mirror phase where D1 is maximal and D2 minimal.
 
-    Expects the D1 and D2 fringes of a scan taken with all plates at
-    sigma_z: a flat one (fringe_visibility 0) raises DegenerateScan, as its
-    fitted phase is only noise.  The D1 maximum sits at its fitted phase;
-    the D2 minimum sits at its fitted phase + pi.  The two estimates are
-    combined by inverse-variance weighting; a disagreement beyond 5
-    combined standard errors (floor 1e-6 rad for noiseless data) raises
-    CalibrationInconsistent.  Period aliases are resolved toward the
-    midpoint of both ports' phases.
+    Expects the D1 and D2 counts of one scan over the phase grid ``phis``,
+    taken with all plates at sigma_z: a flat fringe (fringe_visibility 0)
+    raises DegenerateScan, as its fitted phase is only noise.  The D1
+    maximum sits at its fitted phase; the D2 minimum sits at its fitted
+    phase + pi.  The two estimates are combined by inverse-variance
+    weighting; a disagreement beyond 5 combined standard errors (floor
+    1e-6 rad for noiseless data) raises CalibrationInconsistent.  Period
+    aliases are resolved toward the midpoint of the grid.
     """
-    fit1 = fit_sinusoid(d1_phis, d1_counts)
-    fit2 = fit_sinusoid(d2_phis, d2_counts)
+    fit1 = fit_sinusoid(phis, d1_counts)
+    fit2 = fit_sinusoid(phis, d2_counts)
     for port, fit in (("D1", fit1), ("D2", fit2)):
         if fit.fringe_visibility == 0.0:
             raise DegenerateScan(f"{port} fringe is flat: no phase to calibrate")
 
-    phis = np.concatenate([np.asarray(d1_phis, dtype=float), np.asarray(d2_phis, dtype=float)])
+    phis = np.asarray(phis, dtype=float)
     mid = 0.5 * (float(phis.min()) + float(phis.max()))
     est1 = _wrap_near(fit1.phase, mid)
     est2 = _wrap_near(fit2.phase + math.pi, mid)

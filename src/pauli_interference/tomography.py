@@ -49,14 +49,6 @@ def tomography_settings() -> tuple[MeasurementSetting, ...]:
                  for lbl in SETTING_LABELS)
 
 
-_SETTINGS = tomography_settings()
-
-
-def setting_probabilities(rho: np.ndarray) -> dict[str, float]:
-    """Born probabilities tr(P rho) for all six settings."""
-    return {s.label: float(np.trace(s.projector @ rho).real) for s in _SETTINGS}
-
-
 def _check_pairs(counts: dict[str, float]) -> None:
     missing = [l for l in SETTING_LABELS if l not in counts]
     if missing:
@@ -279,10 +271,6 @@ def matrix_to_json(m: np.ndarray) -> list:
     """Nested lists of [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def density_to_json(rho: np.ndarray) -> dict:
-    return {"basis": ["H", "V"], "entries": matrix_to_json(rho)}
 
 
 def chi_to_json(chi: np.ndarray) -> dict:

@@ -1,11 +1,18 @@
-"""Test helper: the Poissonian -log L oracle of tomography, evaluated at a density matrix."""
+"""Test helpers: the Born probabilities of the six tomography settings, and
+the Poissonian -log L oracle of tomography, evaluated at a density matrix."""
 
 import numpy as np
 
 from pauli_interference.tomography import mle_negative_log_likelihood, tomography_settings
 
-PROJECTORS = {s.label: s.projector for s in tomography_settings()}
+_SETTINGS = tomography_settings()
+PROJECTORS = {s.label: s.projector for s in _SETTINGS}
 PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
+
+
+def setting_probabilities(rho: np.ndarray) -> dict[str, float]:
+    """Born probabilities tr(P rho) for all six settings."""
+    return {s.label: float(np.trace(s.projector @ rho).real) for s in _SETTINGS}
 
 
 def pair_totals(counts):

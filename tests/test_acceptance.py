@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle import oracle_nll
+from oracle import oracle_nll, setting_probabilities
 from pauli_interference.experiments import (NoiseProfile, calibrate_angle_noise,
                                             estimate_k_magnitude, mean_qpt_fidelity,
                                             run_case_comparison, run_commutator_qpt)
@@ -22,7 +22,7 @@ from pauli_interference.qubit import (IDENTITY, PureState, anticommutator, commu
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
                                            chi_of_unitary, mle_negative_log_likelihood,
                                            qpt_reconstruct, qst_linear, qst_mle,
-                                           setting_probabilities, tomography_settings)
+                                           tomography_settings)
 
 AXES = ("x", "y", "z")
 EPS = {("x", "y", "z"): 1, ("y", "z", "x"): 1, ("z", "x", "y"): 1,

@@ -109,6 +109,9 @@ def test_bad_config_file(tmp_path, capsys):
     '{"noise": {"source": {"pair_rate": true}}}',
     '{"input_state": {"hwp": true, "qwp": 0}}',
     '{"input_state": {"hwp": 0, "qwp": false}}',
+    # a JSON string is no number, though float() parses "0.3"
+    '{"input_state": {"hwp": "0.3", "qwp": 0}}',
+    '{"input_state": {"hwp": 0, "qwp": "1e0"}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
         "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
@@ -116,7 +119,7 @@ def test_bad_config_file(tmp_path, capsys):
         "huge-int-integration-time", "huge-int-pair-rate", "huge-int-dark-rate",
         "huge-int-phase-offset", "huge-int-input-state-angle", "bool-visibility",
         "bool-phase-offset", "bool-angle-sigma", "bool-efficiency", "bool-dark-rate",
-        "bool-pair-rate", "bool-hwp", "bool-qwp"])
+        "bool-pair-rate", "bool-hwp", "bool-qwp", "string-hwp", "string-qwp"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -213,6 +216,17 @@ def test_calibration_outside_fidelity_window_is_experiment_error(tmp_path, capsy
     code, _, err = run_cli(["calibrate-noise", "--output", str(tmp_path)], capsys)
     assert code == 3
     assert err.startswith("experiment error (CalibrationFailed)") and err.count("\n") == 1
+
+
+def test_calibrate_noise_report_is_json_dumps_text(tmp_path, capsys, monkeypatch):
+    # a mean fidelity inside the window ends the search at the first sigma tried
+    monkeypatch.setattr(experiments, "mean_qpt_fidelity", lambda *args: 0.9312345678901234)
+    code, _, _ = run_cli(["calibrate-noise", "--output", str(tmp_path)], capsys)
+    assert code == 0
+    derived = {"waveplate_angle_sigma": 0.05, "mean_fidelity": 0.9312345678901234,
+               "n_seeds": 50}
+    assert (tmp_path / "report.json").read_text() == json.dumps(derived, indent=2,
+                                                                sort_keys=True)
 
 
 def test_json_format_writes_records_to_report_only(tmp_path, capsys):

@@ -177,48 +177,44 @@ def test_fit_phase_error_shrinks_with_counts():
 
 
 def _case_i_scan(offset_phi=0.0, scale=None, seed=0):
+    """The phase grid and the D1 and D2 count columns of a case-I scan."""
     phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
     rng = np.random.default_rng(seed)
-    records = []
-    for i, phi in enumerate(phis):
+    d1, d2 = [], []
+    for phi in phis:
         p1 = math.cos((phi - offset_phi) / 2) ** 2
         p2 = math.sin((phi - offset_phi) / 2) ** 2
-        for port, p in ((Port.D1, p1), (Port.D2, p2)):
-            n = 1e4 * p if scale is None else int(rng.poisson(scale * p))
-            records.append(CountRecord("cal", float(phi), port, 1.0, n))
-    return records
+        for column, p in ((d1, p1), (d2, p2)):
+            column.append(1e4 * p if scale is None else int(rng.poisson(scale * p)))
+    return phis, d1, d2
 
 
 def test_calibrate_phase_noiseless():
-    cal = calibrate_phase(_case_i_scan())
+    cal = calibrate_phase(*_case_i_scan())
     assert cal.phi0 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_calibrate_phase_recovers_injected_offset():
-    cal = calibrate_phase(_case_i_scan(offset_phi=0.3, scale=10_000, seed=5))
+    cal = calibrate_phase(*_case_i_scan(offset_phi=0.3, scale=10_000, seed=5))
     assert cal.phi0 == pytest.approx(0.3, abs=0.01)
 
 
 @pytest.mark.parametrize("flat_port", [Port.D1, Port.D2])
 def test_calibrate_phase_refuses_flat_fringe(flat_port):
     # a flat fringe's fitted phase is atan2 of noise or of zeros
-    records = [r if r.port is not flat_port else CountRecord("cal", r.phi, r.port, 1.0, 0)
-               for r in _case_i_scan()]
+    phis, d1, d2 = _case_i_scan()
+    flat = [0] * len(phis)
     with pytest.raises(DegenerateScan, match=f"{flat_port.value} fringe is flat"):
-        calibrate_phase(records)
+        calibrate_phase(phis, *((flat, d2) if flat_port is Port.D1 else (d1, flat)))
 
 
 def test_calibrate_phase_inconsistent_fringes():
     phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
-    records = []
-    for phi in phis:
-        records.append(CountRecord("cal", float(phi), Port.D1,
-                                   1.0, 1e4 * math.cos(phi / 2) ** 2))
-        # D2 fringe shifted by an extra 0.5 rad: not the complement of D1
-        records.append(CountRecord("cal", float(phi), Port.D2,
-                                   1.0, 1e4 * math.sin((phi - 0.5) / 2) ** 2))
+    d1 = [1e4 * math.cos(phi / 2) ** 2 for phi in phis]
+    # D2 fringe shifted by an extra 0.5 rad: not the complement of D1
+    d2 = [1e4 * math.sin((phi - 0.5) / 2) ** 2 for phi in phis]
     with pytest.raises(CalibrationInconsistent):
-        calibrate_phase(records)
+        calibrate_phase(phis, d1, d2)
 
 
 def test_records_to_csv_layout():

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from oracle import PAIRS, PROJECTORS, factor_params, oracle_nll, pair_totals
+from oracle import (PAIRS, PROJECTORS, factor_params, oracle_nll, pair_totals,
+                    setting_probabilities)
 from pauli_interference.errors import EmptyData, NotUnitary
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_D,
                                       STATE_H, STATE_R, trace_distance)
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
                                            SETTING_LABELS, _decreasing_root, _pair_root,
-                                           chi_of_unitary, chi_to_json,
-                                           density_to_json, matrix_to_json,
+                                           chi_of_unitary, chi_to_json, matrix_to_json,
                                            mle_negative_log_likelihood,
                                            process_fidelity, qpt_reconstruct, qst_linear,
-                                           qst_mle, setting_probabilities,
-                                           tomography_settings)
+                                           qst_mle, tomography_settings)
 
 
 def haar_unitary(rng):
@@ -267,8 +266,4 @@ def test_serialization_round_trip():
     assert payload["basis"] == ["I", "X", "Y", "Z"]
     decoded = json.loads(json.dumps(payload))
     assert decoded["entries"][2][2] == [1.0, 0.0]
-
-    d = density_to_json(STATE_R.density())
-    entries = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
-    np.testing.assert_allclose(entries, STATE_R.density(), atol=1e-15)
     assert matrix_to_json(IDENTITY)[0][1] == [0.0, 0.0]
