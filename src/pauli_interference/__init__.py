@@ -5,7 +5,7 @@ counting, and state/process tomography."""
 from .errors import (CalibrationInconsistent, DegenerateScan, EmptyData, NotUnitary,
                      ZeroDenominator, ZeroProbability)
 from .qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState, anticommutator,
-                    apply, commutator, pauli, state_distances)
+                    commutator, pauli)
 from .optics import (InterferometerConfig, Port, WavePlate, case_i, case_ii,
                      conditional_output_state, detection_probability, half_wave,
                      port_operator, prepare_state, quarter_wave, waveplate_matrix)

@@ -66,12 +66,18 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str):
+    """A config section, where JSON null means absent: an empty section."""
+    section = cfg.get(key)
+    return {} if section is None else section
+
+
 def load_noise_profile(cfg: dict, args) -> NoiseProfile:
     try:
-        noise_cfg = dict(cfg.get("noise", {}))
-        detector = DetectorModel(**noise_cfg.pop("detector", {}))
-        source = SourceModel(**noise_cfg.pop("source", {}))
-        noise = NoiseProfile(detector=detector, source=source, **noise_cfg)
+        noise_cfg = dict(_section(cfg, "noise"))
+        detector = DetectorModel(**_section(noise_cfg, "detector"))
+        source = SourceModel(**_section(noise_cfg, "source"))
+        noise = NoiseProfile(**{**noise_cfg, "detector": detector, "source": source})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad noise profile: {exc}") from exc
     if args.ideal:

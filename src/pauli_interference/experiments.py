@@ -7,14 +7,16 @@ and every click probability is a kernel call (``interference_probability``):
 over the whole mirror-phase grid for a fringe scan (``_fringe_scan``), or on
 a stack of arm pairs otherwise.  Every count comes from ``_counts``, which
 makes each rate ``expected_rate`` of a kernel probability and draws a
-record set's sampled counts in one batch (``sample_counts``); each caller
-names the seed key of every count.  ``_record`` makes count records only of
-the counts a report holds.  One helper (``_calibrate``) takes the phi0
-calibration scan's counts and fits them (``calibrate_phase``): the phase
-scan reports both, and a run with a phase offset (``_calibrated_phi0``)
-keeps only phi0, building no record and no report.  All randomness flows from
-``NoiseProfile.master_seed`` through the stable per-setting seed derivation
-in :mod:`photon_stats`, so a report is a pure function of its profile.
+record set's sampled counts as one Poisson stream (``sample_counts``),
+seeded by the set's label; each caller names one label per record set.
+``_record`` makes count records only of the counts a report holds.  One
+helper (``_calibrate``) takes the phi0 calibration scan's counts and fits
+them (``calibrate_phase``): the phase scan reports both, and a run with a
+phase offset (``_calibrated_phi0``) keeps only phi0, building no record and
+no report.  All randomness flows from ``NoiseProfile.master_seed`` through
+``derive_seed``, one seed per record set and one per apparatus's plate
+errors, so a report is a pure function of its profile; the sampling rule is
+in :mod:`photon_stats`.
 With ``exact_probabilities`` set, Poisson sampling is bypassed and counts
 are expected values (floats).  ``json_text`` writes ``report.json``'s head
 and ``chi.json`` exactly as ``json.dumps(..., indent=2, sort_keys=True)``.
@@ -48,7 +50,7 @@ _SCAN_PHIS = np.linspace(-2.0 * math.pi, 2.0 * math.pi, N_SCAN_POINTS)
 # numpy's Poisson sampler refuses means above about 9.2e18, so a profile whose
 # brightest setting could ask for more is rejected up front
 MAX_MEAN_COUNTS = 1.0e18
-# QPT's six analyzer settings in the label order (A, D, H, L, R, V) it records and seeds
+# QPT's six analyzer settings in the label order (A, D, H, L, R, V) it records and draws
 _QPT_SETTINGS = sorted(tomography_settings(), key=lambda s: s.label)
 _ANALYZERS = np.array([s.projector for s in _QPT_SETTINGS])
 # the process matrix every QPT run is scored against
@@ -188,28 +190,28 @@ def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> Interfe
     return replace(cfg, **plates)
 
 
-_Cell = tuple[str, float, Port, str, int]
+_Cell = tuple[str, float, Port]
 
 
-def _counts(p, noise: NoiseProfile, cells: list[_Cell]) -> list:
+def _counts(p, noise: NoiseProfile, set_label: str) -> list:
     """The counts at every click probability in p, taken row-major, and the
-    only place that turns probabilities into counts: expected values, or
-    Poisson draws in one batch, each seeded by its cell's last two entries
-    (seed label, seed index)."""
+    only place that turns probabilities into counts: expected values, or one
+    Poisson stream over the whole record set, seeded by
+    ``derive_seed(master_seed, set_label)``.  No two record sets of a run
+    share a label, so their shot noise is independent."""
     rate = expected_rate(np.ravel(p), noise.source, noise.detector)
     t = noise.source.integration_time
     if noise.exact_probabilities:
         return (rate * t).tolist()
-    return sample_counts(rate, t, [derive_seed(noise.master_seed, key, i)
-                                   for *_, key, i in cells])
+    return sample_counts(rate, t, derive_seed(noise.master_seed, set_label))
 
 
 def _record(counts: list, noise: NoiseProfile, cells: list[_Cell]) -> list[CountRecord]:
     """A report's count records: one per count from ``_counts``, at its cell
-    (setting label, mirror phase, port, seed label, seed index)."""
+    (setting label, mirror phase, port)."""
     t = noise.source.integration_time
     return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
-            for (label, phi, port, _, _), n in zip(cells, counts)]
+            for (label, phi, port), n in zip(cells, counts)]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
@@ -221,9 +223,7 @@ def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureSt
     phis = _SCAN_PHIS - noise.phase_offset_error
     p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
                          for _, sign in outputs])
-    keys = [(port, f"{label}:{port.value}") for port, _ in outputs]
-    return p, [(label, phi, port, key, i) for i, phi in enumerate(_SCAN_PHIS.tolist())
-               for port, key in keys]
+    return p, [(label, phi, port) for phi in _SCAN_PHIS.tolist() for port, _ in outputs]
 
 
 def _calibrate(noise: NoiseProfile,
@@ -233,7 +233,7 @@ def _calibrate(noise: NoiseProfile,
     # the scan sets the mirror phase itself, so the apparatus phi0 is unused
     a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
     p, cells = _fringe_scan(a, b, noise, psi0, "phase-scan", ((Port.D1, 1.0), (Port.D2, -1.0)))
-    counts = _counts(p, noise, cells)
+    counts = _counts(p, noise, "phase-scan")
     return cells, counts, calibrate_phase(_SCAN_PHIS, counts[0::2], counts[1::2])
 
 
@@ -281,9 +281,8 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     a, b = map(np.stack, zip(*map(arm_operators, cfgs)))
     p = np.column_stack([interference_probability(a, b, cfgs[0].phi, cfgs[0].visibility,
                                                   psi0, sign) for sign in (1.0, -1.0)])
-    cells = [(f"case-{name}", phi0, port, f"case-{name}:{port.value}", 0)
-             for name, _ in cases for port in ports]
-    records = _record(_counts(p, noise, cells), noise, cells)
+    cells = [(f"case-{name}", phi0, port) for name, _ in cases for port in ports]
+    records = _record(_counts(p, noise, "case-compare"), noise, cells)
     for (case_name, _), recs in zip(cases, (records[:2], records[2:])):
         total = sum(rec.counts for rec in recs)
         if total <= 0:
@@ -320,9 +319,9 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     a, b = (_ANALYZERS @ arm for arm in arm_operators(cfg))
     p = [interference_probability(a, b, cfg.phi, cfg.visibility, QPT_INPUT_STATES[label], -1.0)
          for label in QPT_INPUT_LABELS]
-    cells = [(f"qpt:{label}:{s.label}", phi0, Port.D2, f"qpt:{label}:{s.label}", i)
-             for label in QPT_INPUT_LABELS for i, s in enumerate(_QPT_SETTINGS)]
-    records = _record(_counts(p, noise, cells), noise, cells)
+    cells = [(f"qpt:{label}:{s.label}", phi0, Port.D2)
+             for label in QPT_INPUT_LABELS for s in _QPT_SETTINGS]
+    records = _record(_counts(p, noise, "qpt"), noise, cells)
     outputs, mle_converged = {}, True
     for j, label in enumerate(QPT_INPUT_LABELS):
         counts = {s.label: rec.counts for s, rec in zip(_QPT_SETTINGS, records[6 * j:6 * j + 6])}
@@ -362,8 +361,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     zero = np.zeros_like(a)  # a blocked arm's operator is zero
     p = interference_probability(np.stack([a, zero, a]), np.stack([b, b, zero]),
                                  cfg.phi, cfg.visibility, psi0, -1.0)
-    cells = [(f"k:{label}", phi0, Port.D2, f"k:{label}:D2", 0) for label in sub_runs]
-    records = _record(_counts(p, noise, cells), noise, cells)
+    cells = [(f"k:{label}", phi0, Port.D2) for label in sub_runs]
+    records = _record(_counts(p, noise, "estimate-k"), noise, cells)
     corrected = {label: max(rec.counts - dark, 0.0) for label, rec in zip(sub_runs, records)}
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
@@ -390,8 +389,10 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
     records, fits = [], {}
     for scan_label, (m1, m2) in (("commutator", (m_com, SIGMA_Y)),
                                  ("reference", (SIGMA_Y, SIGMA_Y))):
+        # each scan its own label: a shared stream would correlate their
+        # shot noise, and arg_k_err adds their errors as independent
         p, cells = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}", ((Port.D2, 1.0),))
-        scan = _record(_counts(p, noise, cells), noise, cells)
+        scan = _record(_counts(p, noise, f"arg-k:{scan_label}"), noise, cells)
         records += scan
         fit = fit_sinusoid(_SCAN_PHIS, [rec.counts for rec in scan])
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:

@@ -1,4 +1,4 @@
-"""Complex 2x2 qubit algebra: Pauli operators, commutators, and state metrics.
+"""Complex 2x2 qubit algebra: Pauli operators, commutators, and pure states.
 
 Basis convention: index 0 is horizontal polarization |H>, index 1 is
 vertical |V>.  All matrices are plain ``numpy`` arrays of dtype complex;
@@ -42,16 +42,8 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.all(np.abs(m - m.conj().T) <= tol))
-
-
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(np.abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol))
-
-
-def is_zero(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return bool(np.all(np.abs(m) <= tol))
 
 
 @dataclass(frozen=True)
@@ -90,51 +82,3 @@ STATE_D = PureState(1 / np.sqrt(2), 1 / np.sqrt(2))
 STATE_A = PureState(1 / np.sqrt(2), -1 / np.sqrt(2))
 STATE_R = PureState(1 / np.sqrt(2), -1j / np.sqrt(2))
 STATE_L = PureState(1 / np.sqrt(2), 1j / np.sqrt(2))
-
-
-def apply(m: np.ndarray, psi: PureState) -> np.ndarray:
-    """Matrix-vector product; the result is in general unnormalized.
-
-    The squared norm of the result is the relative probability associated
-    with the (possibly non-unitary) operation ``m``.
-    """
-    return m @ psi.vector
-
-
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-9,
-                            trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace, and PSD within tolerance."""
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected 2x2 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        raise ValueError("density matrix has non-finite entries")
-    if not is_hermitian(rho, herm_tol):
-        raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.linalg.eigvalsh(rho).min() < -eig_tol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity, squared-overlap convention.
-
-    For 2x2 states the closed form F = tr(rho sigma) + 2 sqrt(det rho det sigma)
-    avoids matrix square roots.
-    """
-    t = np.trace(rho @ sigma).real
-    d = np.linalg.det(rho).real * np.linalg.det(sigma).real
-    f = t + 2.0 * np.sqrt(max(d, 0.0))
-    return float(min(max(f, 0.0), 1.0))
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2) * sum |eigenvalues of rho - sigma|."""
-    ev = np.linalg.eigvalsh(rho - sigma)
-    return float(0.5 * np.sum(np.abs(ev)))
-
-
-def state_distances(rho: np.ndarray, sigma: np.ndarray) -> dict:
-    """Both standard distance measures at once."""
-    return {"fidelity": fidelity(rho, sigma), "trace_distance": trace_distance(rho, sigma)}

@@ -10,15 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle import oracle_nll, setting_probabilities
+from oracle import oracle_nll, setting_probabilities, trace_distance
 from pauli_interference.experiments import (NoiseProfile, calibrate_angle_noise,
                                             estimate_k_magnitude, mean_qpt_fidelity,
                                             run_case_comparison, run_commutator_qpt)
 from pauli_interference.optics import (InterferometerConfig, Port,
                                        detection_probability, half_wave)
 from pauli_interference.photon_stats import SourceModel, derive_seed, sample_counts
-from pauli_interference.qubit import (IDENTITY, PureState, anticommutator, commutator,
-                                      pauli, trace_distance)
+from pauli_interference.qubit import IDENTITY, PureState, anticommutator, commutator, pauli
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
                                            chi_of_unitary, mle_negative_log_likelihood,
                                            qpt_reconstruct, qst_linear, qst_mle,

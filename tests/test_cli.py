@@ -112,6 +112,9 @@ def test_bad_config_file(tmp_path, capsys):
     # a JSON string is no number, though float() parses "0.3"
     '{"input_state": {"hwp": "0.3", "qwp": 0}}',
     '{"input_state": {"hwp": 0, "qwp": "1e0"}}',
+    # null stands for an absent section, but is no number
+    '{"noise": {"visibility": null}}',
+    '{"noise": {"detector": {"efficiency": null}}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
         "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
@@ -119,7 +122,8 @@ def test_bad_config_file(tmp_path, capsys):
         "huge-int-integration-time", "huge-int-pair-rate", "huge-int-dark-rate",
         "huge-int-phase-offset", "huge-int-input-state-angle", "bool-visibility",
         "bool-phase-offset", "bool-angle-sigma", "bool-efficiency", "bool-dark-rate",
-        "bool-pair-rate", "bool-hwp", "bool-qwp", "string-hwp", "string-qwp"])
+        "bool-pair-rate", "bool-hwp", "bool-qwp", "string-hwp", "string-qwp",
+        "null-visibility", "null-efficiency"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -127,6 +131,41 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text):
                             "--output", str(tmp_path)], capsys)
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+NULL_SECTION_BASE = {
+    "noise": {"visibility": 0.9, "master_seed": 5, "phase_offset_error": 0.1,
+              "detector": {"efficiency": 0.8, "dark_rate": 10.0},
+              "source": {"pair_rate": 20000.0}},
+    "input_state": {"hwp": 0.3927, "qwp": 0.0},
+}
+
+
+@pytest.mark.parametrize("path", [("noise",), ("noise", "detector"), ("noise", "source"),
+                                  ("input_state",)],
+                         ids=["noise", "detector", "source", "input-state"])
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_null_section_is_absent_section(tmp_path, capsys, path, exact):
+    # a section given as JSON null writes the same report as one left out
+    *parents, key = path
+    reports = []
+    for null in (True, False):
+        cfg = json.loads(json.dumps(NULL_SECTION_BASE))
+        section = cfg
+        for name in parents:
+            section = section[name]
+        if null:
+            section[key] = None
+        else:
+            del section[key]
+        out = tmp_path / f"null-{null}"
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run_cli(["case-compare", "--config", str(tmp_path / "cfg.json"),
+                                "--output", str(out)] + ["--exact-probabilities"] * exact,
+                               capsys)
+        assert code == 0, err
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_int_config_values_accepted(tmp_path, capsys):

@@ -129,6 +129,26 @@ def test_each_record_set_is_one_poisson_batch(monkeypatch):
         assert len(records) == len(calls) == n_sets, run.__name__
 
 
+def test_no_two_record_sets_share_a_stream(monkeypatch):
+    # every derive_seed call of a run seeds one record set or one apparatus's
+    # plate errors, each under its own label: two sets drawn from one stream
+    # would have correlated shot noise (phase-of-k's two scans, whose phase
+    # errors arg_k_err adds as independent)
+    labels = []
+    seed = experiments.derive_seed
+    monkeypatch.setattr(experiments, "derive_seed",
+                        lambda master, label, *rest: labels.append(label)
+                        or seed(master, label, *rest))
+    noise = NoiseProfile(phase_offset_error=0.3, waveplate_angle_sigma=0.05, master_seed=8)
+    # (run, record sets, plate seeds), each counting the phi0 calibration scan
+    for run, n_sets, n_plates in ((run_phase_scan, 1, 1), (run_case_comparison, 2, 3),
+                                  (run_commutator_qpt, 2, 2), (estimate_k_magnitude, 2, 2),
+                                  (run_phase_of_k, 3, 2)):
+        labels.clear()
+        run(noise)
+        assert len(set(labels)) == len(labels) == n_sets + n_plates, (run.__name__, labels)
+
+
 def test_noise_profile_rejects_counts_beyond_poisson_sampler():
     # the CLI table covers huge rates; here the integration time and the limit
     with pytest.raises(ValueError):

@@ -9,9 +9,13 @@ README config all four QPT inputs have a physical linear-inversion state,
 which qst_mle returns unchanged. The projected path (a Bloch vector outside the unit
 ball) is pinned by the states of PROJECTED_MLE_STATES, and end to end by
 the digest of sampled qpt --ideal on the README config.
-calibrate-noise is left out because it runs hundreds of QPTs. Recorded with
+calibrate-noise is left out because it runs hundreds of QPTs. The sampled
+digests also pin numpy's vector Generator.poisson stream: a record set's
+counts are one default_rng(seed).poisson(means) call. Recorded with
 Python 3.11, numpy 2.4 on x86-64; another numpy/BLAS build may move the last
-digit of a float and needs new digests.
+digit of a float and needs new digests. Run this file as a script
+(``PYTHONPATH=src python tests/test_golden.py``) to print every digest of the
+code under test in this file's syntax.
 """
 
 import hashlib
@@ -37,42 +41,42 @@ README_CONFIG = {
 
 # (experiment, exact) -> (sha256 of report.json, sha256 of counts.csv)
 GOLDEN = {
-    ("phase-scan", False): ("234ece71cd3aa4f7c1acae1706efd20731e11bc4c8d0a6722f46ea23277197eb",
-                            "06b931ef0083d218ee43890f6fb06f0a9fbd2a15142b2fc71459e630d8c3fa3a"),
+    ("phase-scan", False): ("8312df0dcd61d8f98f7e75ad6d07998984dc59f1fc2d5a6bd2adb8fd3cac547f",
+                            "0d32f3223746cc252756504305d8d4913113b7ee18791928592a07f2d3228473"),
     ("phase-scan", True): ("84153fb5b800592128420691d642fc11979f37a5a0327b3e364b1c5430b054e2",
                            "8b65ba5fd32d6136b0ccbb2d19da082ad270fead34b906cdbcd63fc8bae0cf3e"),
-    ("case-compare", False): ("66dec3d0a692f75e6e532c287f06c7172897b121bfb8446d3bccde82dee18531",
-                              "5404e6945e52971daf06850b4c118535d004199d488f40030bb8227ccc891a3b"),
+    ("case-compare", False): ("0b97efeef936dc7245207a26a688f119ab2f46e3297e0a8ece0c1c9108cf725a",
+                              "e615e4c8e5166e8ad6a69f6d689fff48d3733e6f1640cd6d6de7fbae257655c0"),
     ("case-compare", True): ("6e46523900ef84b51ecfb6af3e92bd6645565d07552bbb03964afefa19bcbaa2",
                              "8ccdfb2b25c83912541bbbdb7bb7e8deaf3a0b404b46319ba72df541982d99a1"),
-    ("estimate-k", False): ("8923d1a2cdafd509edc048cdc50a68c4d5461f9eaaeee057feb65fdbe158206e",
-                            "59e3d957bbd0d2fb8a1cfc3e81faf2b7639464d629dd5e971a8e14af14aaec4f"),
+    ("estimate-k", False): ("2eaa914f54ed9ac05568a3fd6d1589d2e130bf749181ac0d337cfe91479b28e3",
+                            "cc2393cee8d5acc076f85cc4072c46b434a85753509a2382f837adce228ba128"),
     ("estimate-k", True): ("36ac4293aa952953f62b08131966d451414421625463cfb052b739ea39cfb567",
                            "535c1a08a72f0b9af6452ebb23e0b7428bdb38f850eeb428323cc9442fc4c815"),
-    ("phase-of-k", False): ("5fef44f10c709b056b50a654699b45dd7a642095d99a77439f1b7057378b75ee",
-                            "a1df2169bb3fb58c4f69be06a433be762c89cab4b2c2b3514a23b9ceac82eb08"),
+    ("phase-of-k", False): ("9bf8e3c37a3cd7f6846f4a7ebee82075d0b1dcc0cd710653f558d66e78e52c9d",
+                            "6c4be57e849117e1b7e2a4fd5e8ce3887aaa5cbc33caa2656a6cd06d019dc3cd"),
     ("phase-of-k", True): ("9c28b214f4b9519eb6d9e1a70ac7201c35d63510ca02b18599e721e6c741589b",
                            "379a1ca7478c594c31fbea7a6bc62daa62f22722438ab8f8988a322ac17fc6ef"),
-    ("qpt", False): ("b0bd1a777b679a16366bf14e6916bbd58031b6732557960f26fdf31af341c232",
-                     "bccd727c4be2696b2aed86a2fffbcf4a1fe109dd17424ecfd835d2717243a414"),
+    ("qpt", False): ("cb034c359c7322eba004289024ec1ad107b3ffa660f8ee27b803e6a69e2261f7",
+                     "c9a0ad9bee81cf2819907eed613a22fce3a3ac8d2ba11ce30384b00499be35e9"),
     ("qpt", True): ("3ba31926a6486ad8599a4a695a271358d3174b5840ac9d4057257d4465a28d4a",
                     "155dca3655028513d5192e21b9190fe2796055cc3d6a79c7b8cc2ad8a8e8048b"),
 }
 
 # sampled qpt --ideal on the README config: all four inputs take the projected
-# maximum-likelihood path (9, 12, 9 and 9 multiplier steps). Its fidelity
-# 1.0006 is clamped to 1 with a UserWarning, so this digest moves on purpose
-# once the estimator returns a physical chi by construction (ROADMAP item 1).
-GOLDEN_QPT_IDEAL = ("17e913a10d1ec21a32b5598ec65aac101b33ee002aca72a52fe24e2d6ac0e394",
-                    "57cfe6ca190df741735ee1ec9f31de0e6ca7027cb7934be7619eb59330859c02")
+# maximum-likelihood path (9 multiplier steps each). Its chi is not PSD
+# (psd_deviation 0.001), so this digest moves on purpose once the estimator
+# returns a physical chi by construction (ROADMAP item 1).
+GOLDEN_QPT_IDEAL = ("55215f6e923435d2551e037886569b1e4d58bb5984afd561282c773c2a51e824",
+                    "d269eee259c21f8d89294cc4cc0190b9790aefb99d020a2c90cbbbd5e75d9113")
 
 # sha256 of qpt's chi.json on the README config, keyed by the extra flag:
 # sampled, exact, and sampled --ideal. The --ideal digest moves with
 # GOLDEN_QPT_IDEAL's when chi becomes physical by construction (ROADMAP item 1).
 GOLDEN_CHI = {
-    None: "50f6080c15b48131f86e4ff38e7539fdcad8901664084fc6a4eb91c6e34fcf8f",
+    None: "56c13b2fe88a9dedcc80150bae0ac87dde8578ff785ab066a34031d1035f9721",
     "--exact-probabilities": "af4652e091521932fc83b9cef83d6525f3d53af76183d685ae8347bd73328dc3",
-    "--ideal": "cd124fdee7295950fbeac9b5721b249ef8bca6293a673c85af0e01f88ff92b7a",
+    "--ideal": "037c04a1b13c9b3c741c1ea4800235998f16806850be24ad35a1be8085dbbebc",
 }
 
 
@@ -80,36 +84,35 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _digests(tmp_path, argv, names=("report.json", "counts.csv")):
+    """sha256 of each named output of the CLI run argv on the README config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg), "--output", str(out)]) == 0
+    return tuple(_sha(out / name) for name in names)
+
+
+def _argv(experiment, exact):
+    return [experiment] + ["--exact-probabilities"] * exact
+
+
+def _chi_argv(flag):
+    return ["qpt"] + [flag] * bool(flag)
+
+
 @pytest.mark.parametrize("experiment,exact", sorted(GOLDEN))
-def test_golden_outputs(tmp_path, capsys, experiment, exact):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(README_CONFIG))
-    out = tmp_path / "out"
-    argv = [experiment, "--config", str(cfg), "--output", str(out)]
-    if exact:
-        argv.append("--exact-probabilities")
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert (_sha(out / "report.json"), _sha(out / "counts.csv")) == GOLDEN[experiment, exact]
+def test_golden_outputs(tmp_path, experiment, exact):
+    assert _digests(tmp_path, _argv(experiment, exact)) == GOLDEN[experiment, exact]
 
 
-def test_golden_qpt_ideal_projected_mle(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(README_CONFIG))
-    out = tmp_path / "out"
-    assert main(["qpt", "--ideal", "--config", str(cfg), "--output", str(out)]) == 0
-    capsys.readouterr()
-    assert (_sha(out / "report.json"), _sha(out / "counts.csv")) == GOLDEN_QPT_IDEAL
+def test_golden_qpt_ideal_projected_mle(tmp_path):
+    assert _digests(tmp_path, ["qpt", "--ideal"]) == GOLDEN_QPT_IDEAL
 
 
 @pytest.mark.parametrize("flag", list(GOLDEN_CHI), ids=["sampled", "exact", "ideal"])
-def test_golden_qpt_chi(tmp_path, capsys, flag):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(README_CONFIG))
-    out = tmp_path / "out"
-    assert main(["qpt", "--config", str(cfg), "--output", str(out)] + [flag] * bool(flag)) == 0
-    capsys.readouterr()
-    assert _sha(out / "chi.json") == GOLDEN_CHI[flag]
+def test_golden_qpt_chi(tmp_path, flag):
+    assert _digests(tmp_path, _chi_argv(flag), ("chi.json",)) == (GOLDEN_CHI[flag],)
 
 
 # qst_mle(counts).rho on the projected path, recorded before the closed-form pair
@@ -186,3 +189,33 @@ def test_projected_mle_states(counts, rho):
     res = qst_mle(counts)
     assert res.iterations > 0  # the linear-inversion state is unphysical
     np.testing.assert_allclose(res.rho, np.array(rho) @ [1.0, 1j], rtol=0, atol=1e-13)
+
+
+def _print_current_digests():
+    """Print GOLDEN, GOLDEN_QPT_IDEAL and GOLDEN_CHI as the code under test
+    makes them, in this file's syntax, for re-recording a digest on purpose."""
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    def digests(argv, names=("report.json", "counts.csv")):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            return _digests(Path(tmp), argv, names)
+
+    lines = ["GOLDEN = {"]
+    for experiment, exact in GOLDEN:
+        head = f'    ("{experiment}", {exact}): ('
+        report, csv = digests(_argv(experiment, exact))
+        lines += [f'{head}"{report}",', f'{" " * len(head)}"{csv}"),']
+    head = "GOLDEN_QPT_IDEAL = ("
+    report, csv = digests(["qpt", "--ideal"])
+    lines += ["}", "", f'{head}"{report}",', f'{" " * len(head)}"{csv}")', "", "GOLDEN_CHI = {"]
+    for flag in GOLDEN_CHI:
+        key = "None" if flag is None else f'"{flag}"'
+        lines.append(f'    {key}: "{digests(_chi_argv(flag), ("chi.json",))[0]}",')
+    print("\n".join(lines + ["}"]))
+
+
+if __name__ == "__main__":
+    _print_current_digests()

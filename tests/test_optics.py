@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import is_hermitian
 from pauli_interference import experiments
 from pauli_interference.errors import ZeroProbability
 from pauli_interference.optics import (InterferometerConfig, Port, WavePlate, arm_operators,
@@ -12,7 +13,7 @@ from pauli_interference.optics import (InterferometerConfig, Port, WavePlate, ar
                                        interference_probability, port_operator,
                                        prepare_state, quarter_wave, waveplate_matrix)
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState,
-                                      STATE_H, STATE_V, is_hermitian, is_unitary)
+                                      STATE_H, STATE_V, is_unitary)
 from pauli_interference.tomography import QPT_INPUT_STATES, tomography_settings
 
 SQ2 = 1.0 / math.sqrt(2.0)

@@ -9,9 +9,9 @@ from hypothesis import example, given, strategies as st
 from pauli_interference.errors import CalibrationInconsistent, DegenerateScan
 from pauli_interference.optics import Port
 from pauli_interference.photon_stats import (CountRecord, DetectorModel, SourceModel,
-                                             _pcg64_state_words, _scan_design, calibrate_phase,
-                                             derive_seed, expected_rate, fit_sinusoid,
-                                             records_to_csv, sample_counts)
+                                             _scan_design, calibrate_phase, derive_seed,
+                                             expected_rate, fit_sinusoid, records_to_csv,
+                                             sample_counts)
 
 
 def test_expected_rate_linear_model():
@@ -75,33 +75,32 @@ def test_sample_counts_reproducible():
     assert a == b
 
 
-def test_sample_counts_batch_matches_numpy_seeding():
-    # the batched hash must reproduce numpy's own SeedSequence -> PCG64 seeding
-    # for every 64-bit seed: one and two 32-bit entropy words, and the edges
-    rng = np.random.default_rng(2024)
-    edges = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
-    seeds = (edges + rng.integers(0, 2**64, 6000, dtype=np.uint64).tolist()
-             + rng.integers(0, 2**32, 4000, dtype=np.uint64).tolist())
-    words = _pcg64_state_words(seeds)
-    assert words.shape == (len(seeds), 4)
-    for s, row in zip(seeds, words):
-        assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
-
-    # means: 0, numpy's inversion branch (< 10), its PTRS branch (>= 10), up to 1e18
-    pool = np.concatenate([[0.0, 10.0, 1e18], rng.uniform(0.0, 10.0, 100),
-                           rng.uniform(10.0, 1e6, 100), 10.0 ** rng.uniform(6, 18, 100)])
-    means = pool[np.arange(len(seeds)) % len(pool)]
-    rates, t = means / 2.0, 2.0
-    counts = sample_counts(rates, t, seeds)
+def test_sample_counts_is_one_default_rng_stream():
+    # a record set's counts are one numpy stream: its seed's Generator, drawing
+    # every mean of the set in order, zeros included
+    t, seed = 2.0, derive_seed(3, "set")
+    rates = np.array([0.0, 4.5, 0.0, 250.0, 3e6, 0.0, 1e17])
+    counts = sample_counts(rates, t, seed)
     assert type(counts) is list and all(type(n) is int for n in counts)
-    assert counts == [0 if r * t == 0 else int(np.random.default_rng(s).poisson(r * t))
-                      for r, s in zip(rates.tolist(), seeds)]
+    assert counts == np.random.default_rng(seed).poisson(rates * t).tolist()
 
-    n = sample_counts(float(rates[1]), t, seeds[1])
-    assert type(n) is int and n == counts[1]
+    n = sample_counts(123.4, t, seed)
+    assert type(n) is int and n == int(np.random.default_rng(seed).poisson(123.4 * t))
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError):
-            sample_counts(np.array([5.0, bad]), 1.0, [1, 2])
+            sample_counts(np.array([5.0, bad]), 1.0, seed)
+        with pytest.raises(ValueError):
+            sample_counts(bad, 1.0, seed)
+
+
+def test_sample_counts_one_stream_is_poissonian():
+    # criterion 9 draws one count per seed; this checks the vector path: 2,000
+    # counts at mean 50 from one seed.  The standard error of their mean is
+    # sqrt(50/n) and of their variance sqrt((50 + 2*50**2)/n).
+    n, mean = 2000, 50.0
+    draws = np.array(sample_counts(np.full(n, mean), 1.0, derive_seed(0, "vector-stats")))
+    assert abs(draws.mean() - mean) < 4 * math.sqrt(mean / n)
+    assert abs(draws.var(ddof=1) - mean) < 4 * math.sqrt((mean + 2 * mean**2) / n)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from oracle import (apply, fidelity, is_hermitian, is_zero, state_distances, trace_distance,
+                    validate_density_matrix)
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState,
-                                      STATE_H, STATE_V, anticommutator, apply,
-                                      commutator, fidelity, is_hermitian, is_unitary,
-                                      is_zero, pauli, state_distances, trace_distance,
-                                      validate_density_matrix)
+                                      STATE_H, STATE_V, anticommutator, commutator,
+                                      is_unitary, pauli)
 
 AXES = ("x", "y", "z")
 LEVI_CIVITA = {("x", "y"): ("z", 1), ("y", "x"): ("z", -1),

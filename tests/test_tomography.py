@@ -5,10 +5,10 @@ import pytest
 import scipy.optimize
 
 from oracle import (PAIRS, PROJECTORS, factor_params, oracle_nll, pair_totals,
-                    setting_probabilities)
+                    setting_probabilities, trace_distance)
 from pauli_interference.errors import EmptyData, NotUnitary
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_D,
-                                      STATE_H, STATE_R, trace_distance)
+                                      STATE_H, STATE_R)
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
                                            SETTING_LABELS, _decreasing_root, _pair_root,
                                            chi_of_unitary, chi_to_json, matrix_to_json,

@@ -36,5 +36,5 @@ def test_tracer_sees_the_calibration_scan(monkeypatch):
         experiments.run_case_comparison(noise)
     calls = Counter(name for name, *_ in tracer.spans)
     assert calls["photon_stats.sample_counts"] == 2  # the scan, then both cases
-    assert calls["photon_stats.derive_seed"] == 80 + 4
+    assert calls["photon_stats.derive_seed"] == 2  # one seed per record set
     assert calls["photon_stats.fit_sinusoid"] == 2
