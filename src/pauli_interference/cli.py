@@ -57,7 +57,7 @@ def load_config(args) -> dict:
         return {}
     try:
         cfg = json.loads(args.config.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} is not a JSON object")
@@ -66,15 +66,17 @@ def load_config(args) -> dict:
     return cfg
 
 
-def _section(cfg: dict, key: str):
-    """A config section, where JSON null means absent: an empty section."""
+def _section(cfg: dict, key: str) -> dict:
+    """A config section: a JSON object, or null (or absent) for an empty one."""
     section = cfg.get(key)
+    if section is not None and not isinstance(section, dict):
+        raise ConfigError(f"section {key!r} must be a JSON object or null")
     return {} if section is None else section
 
 
 def load_noise_profile(cfg: dict, args) -> NoiseProfile:
     try:
-        noise_cfg = dict(_section(cfg, "noise"))
+        noise_cfg = _section(cfg, "noise")
         detector = DetectorModel(**_section(noise_cfg, "detector"))
         source = SourceModel(**_section(noise_cfg, "source"))
         noise = NoiseProfile(**{**noise_cfg, "detector": detector, "source": source})
@@ -91,10 +93,10 @@ def load_noise_profile(cfg: dict, args) -> NoiseProfile:
 
 
 def load_input_state(cfg: dict):
-    angles = cfg.get("input_state")
-    if angles is None:
+    if cfg.get("input_state") is None:
         return STATE_V
-    if isinstance(angles, dict) and (unknown := angles.keys() - {"hwp", "qwp"}):
+    angles = _section(cfg, "input_state")
+    if unknown := angles.keys() - {"hwp", "qwp"}:
         raise ConfigError(f"bad input_state: unknown keys {sorted(unknown)}")
     try:
         hwp, qwp = angles["hwp"], angles["qwp"]

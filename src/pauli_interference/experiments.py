@@ -2,24 +2,24 @@
 tomography of the commutator port, magnitude and phase of the
 proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 
-Each run builds its interferometer (``_apparatus``) and arm operators once,
-and every click probability is a kernel call (``interference_probability``):
-over the whole mirror-phase grid for a fringe scan (``_fringe_scan``), or on
-a stack of arm pairs otherwise.  Every count comes from ``_counts``, which
-makes each rate ``expected_rate`` of a kernel probability and draws a
-record set's sampled counts as one Poisson stream (``sample_counts``),
-seeded by the set's label; each caller names one label per record set.
-``_record`` makes count records only of the counts a report holds.  One
-helper (``_calibrate``) takes the phi0 calibration scan's counts and fits
-them (``calibrate_phase``): the phase scan reports both, and a run with a
-phase offset (``_calibrated_phi0``) keeps only phi0, building no record and
-no report.  All randomness flows from ``NoiseProfile.master_seed`` through
-``derive_seed``, one seed per record set and one per apparatus's plate
-errors, so a report is a pure function of its profile; the sampling rule is
-in :mod:`photon_stats`.
-With ``exact_probabilities`` set, Poisson sampling is bypassed and counts
-are expected values (floats).  ``json_text`` writes ``report.json``'s head
-and ``chi.json`` exactly as ``json.dumps(..., indent=2, sort_keys=True)``.
+Every run has one data flow: click probabilities, then one count column
+per record set, then derived values.  Each run builds its interferometer
+(``_apparatus``) and arm operators once; every click probability is a
+kernel call (``interference_probability``), over the mirror-phase grid for
+a fringe scan (``_fringe_scan``) or on a stack of arm pairs otherwise.
+``_counts`` alone turns probabilities into counts: expected values with
+``exact_probabilities`` set, else one Poisson stream (``sample_counts``)
+per record set, seeded by the set's label, which no two sets of a run
+share.  Every derived value comes from those columns; ``_record`` makes
+count records of them only to write a report, and no run reads them back.
+The phi0 calibration (``_calibrate``) fits its scan's columns
+(``calibrate_phase``): the phase scan reports both, and a run with a phase
+offset (``_calibrated_phi0``) keeps only phi0.  All randomness flows from
+``NoiseProfile.master_seed`` through ``derive_seed``, one seed per record
+set and one per apparatus's plate errors, so a report is a pure function of
+its profile; the sampling rule is in :mod:`photon_stats`.  ``json_text``
+writes ``report.json``'s head and ``chi.json`` exactly as
+``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -215,15 +215,16 @@ def _record(counts: list, noise: NoiseProfile, cells: list[_Cell]) -> list[Count
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
-                 label: str, outputs: tuple) -> tuple[np.ndarray, list[_Cell]]:
-    """A mirror-phase scan over fixed arm operators a, b: its click
-    probabilities, phi-major, and their cells; ``outputs`` lists the
+                 label: str, outputs: tuple) -> tuple[list[_Cell], list]:
+    """A mirror-phase scan over fixed arm operators a, b, drawn as the record
+    set ``label``: its cells and counts, phi-major; ``outputs`` lists the
     (recorded port, cross-term sign) pairs at each phase.  Each output's
     probabilities over the whole phi grid are one array pass."""
     phis = _SCAN_PHIS - noise.phase_offset_error
     p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
                          for _, sign in outputs])
-    return p, [(label, phi, port) for phi in _SCAN_PHIS.tolist() for port, _ in outputs]
+    cells = [(label, phi, port) for phi in _SCAN_PHIS.tolist() for port, _ in outputs]
+    return cells, _counts(p, noise, label)
 
 
 def _calibrate(noise: NoiseProfile,
@@ -232,34 +233,26 @@ def _calibrate(noise: NoiseProfile,
     at sigma_z, D1 and D2 at each phase, and the fit of its two fringes."""
     # the scan sets the mirror phase itself, so the apparatus phi0 is unused
     a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
-    p, cells = _fringe_scan(a, b, noise, psi0, "phase-scan", ((Port.D1, 1.0), (Port.D2, -1.0)))
-    counts = _counts(p, noise, "phase-scan")
+    cells, counts = _fringe_scan(a, b, noise, psi0, "phase-scan",
+                                 ((Port.D1, 1.0), (Port.D2, -1.0)))
     return cells, counts, calibrate_phase(_SCAN_PHIS, counts[0::2], counts[1::2])
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Scan the mirror phase with all plates at sigma_z and calibrate phi0."""
     cells, counts, cal = _calibrate(noise, psi0)
-    derived = {
-        "phi0": cal.phi0,
-        "d1_offset": cal.d1_fit.offset, "d1_amplitude": cal.d1_fit.amplitude,
-        "d1_phase": cal.d1_fit.phase, "d1_fringe_visibility": cal.d1_fit.fringe_visibility,
-        "d2_offset": cal.d2_fit.offset, "d2_amplitude": cal.d2_fit.amplitude,
-        "d2_phase": cal.d2_fit.phase, "d2_fringe_visibility": cal.d2_fit.fringe_visibility,
-        "d1_d2_antiphase": abs(_wrap_near(cal.d2_fit.phase - cal.d1_fit.phase, 0.0)),
-    }
+    derived = {"phi0": cal.phi0,
+               "d1_d2_antiphase": abs(_wrap_near(cal.d2_fit.phase - cal.d1_fit.phase, 0.0))}
     if not noise.exact_probabilities:
         derived["phi0_err"] = cal.stderr
-        derived["d1_fringe_visibility_err"] = _visibility_stderr(cal.d1_fit)
-        derived["d2_fringe_visibility_err"] = _visibility_stderr(cal.d2_fit)
+    for port, fit in (("d1", cal.d1_fit), ("d2", cal.d2_fit)):
+        for key in ("offset", "amplitude", "phase", "fringe_visibility"):
+            derived[f"{port}_{key}"] = getattr(fit, key)
+        if not noise.exact_probabilities:
+            # calibrate_phase refuses a flat fringe, so the offset is > 0
+            derived[f"{port}_fringe_visibility_err"] = fit.amplitude_stderr / fit.offset
     return ExperimentReport("phase-scan", _profile_echo(noise, n_points=N_SCAN_POINTS),
                             _record(counts, noise, cells), derived)
-
-
-def _visibility_stderr(fit) -> float:
-    if fit.offset <= 0:
-        return float("inf")
-    return fit.amplitude_stderr / fit.offset
 
 
 def _calibrated_phi0(noise: NoiseProfile) -> float:
@@ -282,17 +275,16 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     p = np.column_stack([interference_probability(a, b, cfgs[0].phi, cfgs[0].visibility,
                                                   psi0, sign) for sign in (1.0, -1.0)])
     cells = [(f"case-{name}", phi0, port) for name, _ in cases for port in ports]
-    records = _record(_counts(p, noise, "case-compare"), noise, cells)
-    for (case_name, _), recs in zip(cases, (records[:2], records[2:])):
-        total = sum(rec.counts for rec in recs)
+    counts = _counts(p, noise, "case-compare")
+    for (case_name, _), pair in zip(cases, (counts[:2], counts[2:])):
+        total = sum(pair)
         if total <= 0:
             raise EmptyData(f"case {case_name} has zero total counts")
-        for rec in recs:
-            key = f"case_{case_name}_{rec.port.value}"
-            derived[key] = rec.counts / total
+        for port, n in zip(ports, pair):
+            key = f"case_{case_name}_{port.value}"
+            q = derived[key] = n / total
             if not noise.exact_probabilities:
                 # binomial stderr of the normalized rate
-                q = derived[key]
                 derived[key + "_err"] = math.sqrt(max(q * (1 - q), 1.0 / total) / total)
 
     def exchanged(a: str, b: str) -> bool:
@@ -303,7 +295,8 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
 
     derived["pi_shift_verdict"] = (exchanged("case_I_D1", "case_II_D2")
                                    and exchanged("case_I_D2", "case_II_D1"))
-    return ExperimentReport("case-compare", _profile_echo(noise), records, derived)
+    return ExperimentReport("case-compare", _profile_echo(noise),
+                            _record(counts, noise, cells), derived)
 
 
 def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
@@ -321,14 +314,14 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
          for label in QPT_INPUT_LABELS]
     cells = [(f"qpt:{label}:{s.label}", phi0, Port.D2)
              for label in QPT_INPUT_LABELS for s in _QPT_SETTINGS]
-    records = _record(_counts(p, noise, "qpt"), noise, cells)
+    counts = _counts(p, noise, "qpt")
     outputs, mle_converged = {}, True
     for j, label in enumerate(QPT_INPUT_LABELS):
-        counts = {s.label: rec.counts for s, rec in zip(_QPT_SETTINGS, records[6 * j:6 * j + 6])}
+        data = {s.label: n for s, n in zip(_QPT_SETTINGS, counts[6 * j:6 * j + 6])}
         if noise.exact_probabilities:
-            outputs[label] = qst_linear(counts).rho
+            outputs[label] = qst_linear(data).rho
         else:
-            mle = qst_mle(counts)
+            mle = qst_mle(data)
             mle_converged = mle_converged and mle.converged
             outputs[label] = mle.rho
     result = qpt_reconstruct(outputs)
@@ -341,7 +334,7 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
         "mle_converged": mle_converged,
         "phi0": phi0,
     }
-    return ExperimentReport("qpt", _profile_echo(noise), records, derived)
+    return ExperimentReport("qpt", _profile_echo(noise), _record(counts, noise, cells), derived)
 
 
 def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -362,8 +355,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     p = interference_probability(np.stack([a, zero, a]), np.stack([b, b, zero]),
                                  cfg.phi, cfg.visibility, psi0, -1.0)
     cells = [(f"k:{label}", phi0, Port.D2) for label in sub_runs]
-    records = _record(_counts(p, noise, "estimate-k"), noise, cells)
-    corrected = {label: max(rec.counts - dark, 0.0) for label, rec in zip(sub_runs, records)}
+    counts = _counts(p, noise, "estimate-k")
+    corrected = {label: max(n - dark, 0.0) for label, n in zip(sub_runs, counts)}
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
     if n_split <= 0:
@@ -373,7 +366,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     derived = {"k_abs": k_abs, "stderr": stderr, "phi0": phi0,
                "n_open": n_open, "n_u": corrected["block-transmitted"],
                "n_l": corrected["block-reflected"]}
-    return ExperimentReport("estimate-k", _profile_echo(noise), records, derived)
+    return ExperimentReport("estimate-k", _profile_echo(noise),
+                            _record(counts, noise, cells), derived)
 
 
 def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -386,15 +380,16 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
     """
     phi0 = _calibrated_phi0(noise)
     m_com = port_operator(_apparatus(case_ii, noise, "phase-of-k", phi0), Port.D2)
-    records, fits = [], {}
+    cells, counts, fits = [], [], {}
     for scan_label, (m1, m2) in (("commutator", (m_com, SIGMA_Y)),
                                  ("reference", (SIGMA_Y, SIGMA_Y))):
         # each scan its own label: a shared stream would correlate their
         # shot noise, and arg_k_err adds their errors as independent
-        p, cells = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}", ((Port.D2, 1.0),))
-        scan = _record(_counts(p, noise, f"arg-k:{scan_label}"), noise, cells)
-        records += scan
-        fit = fit_sinusoid(_SCAN_PHIS, [rec.counts for rec in scan])
+        scan_cells, scan = _fringe_scan(m1, m2, noise, psi0, f"arg-k:{scan_label}",
+                                        ((Port.D2, 1.0),))
+        cells += scan_cells
+        counts += scan
+        fit = fit_sinusoid(_SCAN_PHIS, scan)
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:
             raise DegenerateScan(f"{scan_label} scan has no usable fringe")
         fits[scan_label] = fit
@@ -407,7 +402,7 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
         derived["arg_k_err"] = math.hypot(fits["commutator"].phase_stderr,
                                           fits["reference"].phase_stderr)
     return ExperimentReport("phase-of-k", _profile_echo(noise, n_points=N_SCAN_POINTS),
-                            records, derived)
+                            _record(counts, noise, cells), derived)
 
 
 @dataclass(frozen=True)

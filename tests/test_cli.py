@@ -71,10 +71,14 @@ def test_missing_experiment_is_config_error(tmp_path, capsys):
 
 
 def test_bad_config_file(tmp_path, capsys):
+    # text that is not JSON, JSON nested too deep for the decoder, and bytes
+    # that are not UTF-8 text at all
     bad = tmp_path / "cfg.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(["phase-scan", "--config", str(bad)], capsys)
-    assert code == 2
+    for data in (b"{not json", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"):
+        bad.write_bytes(data)
+        code, _, err = run_cli(["phase-scan", "--config", str(bad)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -115,6 +119,21 @@ def test_bad_config_file(tmp_path, capsys):
     # null stands for an absent section, but is no number
     '{"noise": {"visibility": null}}',
     '{"noise": {"detector": {"efficiency": null}}}',
+    # a section is a JSON object or null, not an array of pairs, a string or a number
+    '{"noise": [["visibility", 0.5], ["master_seed", 3]]}',
+    '{"noise": []}',
+    '{"noise": "visibility"}',
+    '{"noise": 0.5}',
+    '{"noise": {"detector": [["efficiency", 0.5]]}}',
+    '{"noise": {"detector": "efficiency"}}',
+    '{"noise": {"detector": 0.5}}',
+    '{"noise": {"source": [["pair_rate", 100.0]]}}',
+    '{"noise": {"source": "pair_rate"}}',
+    '{"noise": {"source": 100.0}}',
+    '{"input_state": [["hwp", 0.3], ["qwp", 0]]}',
+    '{"input_state": "hwp"}',
+    '{"input_state": 0.3}',
+    '{"input_state": {}}',
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
         "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
@@ -123,7 +142,10 @@ def test_bad_config_file(tmp_path, capsys):
         "huge-int-phase-offset", "huge-int-input-state-angle", "bool-visibility",
         "bool-phase-offset", "bool-angle-sigma", "bool-efficiency", "bool-dark-rate",
         "bool-pair-rate", "bool-hwp", "bool-qwp", "string-hwp", "string-qwp",
-        "null-visibility", "null-efficiency"])
+        "null-visibility", "null-efficiency", "pairs-noise", "empty-array-noise",
+        "string-noise", "number-noise", "pairs-detector", "string-detector",
+        "number-detector", "pairs-source", "string-source", "number-source",
+        "pairs-input-state", "string-input-state", "number-input-state", "empty-input-state"])
 def test_bad_config_values_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

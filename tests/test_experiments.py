@@ -13,7 +13,8 @@ from pauli_interference.experiments import (ExperimentReport, NoiseProfile,
                                             run_case_comparison, run_commutator_qpt,
                                             run_phase_of_k, run_phase_scan)
 from pauli_interference.optics import half_wave, prepare_state, quarter_wave
-from pauli_interference.photon_stats import CountRecord, DetectorModel, SourceModel
+from pauli_interference.photon_stats import (CountRecord, DetectorModel, SourceModel,
+                                             fit_sinusoid)
 from pauli_interference.qubit import PureState
 
 
@@ -259,6 +260,34 @@ def test_phase_of_k_reference_vs_reference():
 def test_phase_of_k_flat_fringe_raises():
     with pytest.raises(DegenerateScan):
         run_phase_of_k(replace(NoiseProfile.ideal(), visibility=0.0))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_derived_values_come_from_the_written_records(exact):
+    # a run derives its values from the count column it writes, so the same
+    # arithmetic on report.records gives each one back to the bit
+    noise = NoiseProfile(phase_offset_error=0.3, visibility=0.9, master_seed=8,
+                         detector=DetectorModel(efficiency=0.8, dark_rate=20.0),
+                         exact_probabilities=exact)
+    report = run_phase_of_k(noise)
+    for scan in ("commutator", "reference"):
+        recs = [r for r in report.records if r.setting_label == f"arg-k:{scan}"]
+        fit = fit_sinusoid([r.phi for r in recs], [r.counts for r in recs])
+        assert fit.phase.hex() == report.derived[f"{scan}_fringe_phase"].hex()
+
+    report = run_case_comparison(noise)
+    for case in ("I", "II"):
+        recs = [r for r in report.records if r.setting_label == f"case-{case}"]
+        total = sum(r.counts for r in recs)
+        for r in recs:
+            assert report.derived[f"case_{case}_{r.port.value}"] == r.counts / total
+
+    report = estimate_k_magnitude(noise)
+    dark = noise.detector.dark_rate * noise.source.integration_time
+    counts = {r.setting_label: r.counts for r in report.records}
+    for key, sub_run in (("n_open", "open"), ("n_u", "block-transmitted"),
+                         ("n_l", "block-reflected")):
+        assert report.derived[key] == max(counts[f"k:{sub_run}"] - dark, 0.0)
 
 
 def test_reports_reproducible():
