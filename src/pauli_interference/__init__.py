@@ -9,8 +9,8 @@ from .qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState, anticommutat
 from .optics import (InterferometerConfig, Port, WavePlate, case_i, case_ii,
                      conditional_output_state, detection_probability, half_wave,
                      port_operator, prepare_state, quarter_wave, waveplate_matrix)
-from .photon_stats import (CountRecord, DetectorModel, SourceModel, calibrate_phase,
-                           derive_seed, expected_rate, fit_sinusoid, sample_counts)
+from .photon_stats import (DetectorModel, SourceModel, calibrate_phase, derive_seed,
+                           expected_rate, fit_sinusoid, sample_counts)
 from .tomography import (chi_of_unitary, process_fidelity, qpt_reconstruct,
                          qst_linear, qst_mle, tomography_settings)
 from .experiments import (AngleNoiseCalibration, ExperimentReport, NoiseProfile,

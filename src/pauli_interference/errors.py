@@ -22,7 +22,8 @@ class CalibrationFailed(ExperimentError, RuntimeError):
 
 
 class EmptyData(ExperimentError, ValueError):
-    """A tomography basis pair or a case-compare case has zero total counts."""
+    """A tomography basis pair or a case-compare case has zero total counts, or
+    estimate-k's open-path count is zero once its dark counts are subtracted."""
 
 
 class NotUnitary(ExperimentError, ValueError):

@@ -10,8 +10,9 @@ a fringe scan (``_fringe_scan``) or on a stack of arm pairs otherwise.
 ``_counts`` alone turns probabilities into counts: expected values with
 ``exact_probabilities`` set, else one Poisson stream (``sample_counts``)
 per record set, seeded by the set's label, which no two sets of a run
-share.  Every derived value comes from those columns; ``_record`` makes
-count records of them only to write a report, and no run reads them back.
+share.  Every derived value comes from those columns, and the report
+holds them as they are: one count per cell (setting label, mirror phase,
+port), written as ``report.json``'s records and ``counts.csv``'s rows.
 The phi0 calibration (``_calibrate``) fits its scan's columns
 (``calibrate_phase``): the phase scan reports both, and a run with a phase
 offset (``_calibrated_phi0``) keeps only phi0.  All randomness flows from
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
@@ -36,9 +38,9 @@ from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
                      interference_probability, port_operator,
                      # both unused here: perfbench/tracing.py wraps them
                      conditional_output_state, detection_probability)
-from .photon_stats import (CountRecord, DetectorModel, PhaseCalibration, SourceModel,
-                           _wrap_near, calibrate_phase, derive_seed, expected_rate,
-                           fit_sinusoid, records_to_csv, reject_bools, sample_counts)
+from .photon_stats import (DetectorModel, PhaseCalibration, SourceModel, _wrap_near,
+                           calibrate_phase, derive_seed, expected_rate, fit_sinusoid,
+                           reject_bools, sample_counts)
 from .qubit import SIGMA_Y, PureState, STATE_V
 from .tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES, chi_of_unitary,
                          chi_to_json, process_fidelity, qpt_reconstruct, qst_linear,
@@ -59,6 +61,8 @@ _CHI_SIGMA_Y.flags.writeable = False
 # the mean process fidelity window calibrate_angle_noise aims for, and its bisection cap
 FIDELITY_WINDOW = (0.92, 0.96)
 MAX_BISECTIONS = 20
+# the characters for which csv.writer (excel dialect, lineterminator "\n") quotes a field
+_CSV_QUOTED = re.compile('[,"\n]')
 
 
 @dataclass(frozen=True)
@@ -133,40 +137,68 @@ def json_text(value, indent: str = "") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
+_Cell = tuple[str, float, Port]
+
+
 @dataclass
 class ExperimentReport:
+    """One run: its inputs, one count per cell (setting label, mirror phase,
+    port), each counted for ``duration`` seconds, and the values derived from
+    them.  The writers spell every count, phi and the duration with repr,
+    JSON's spelling only of a plain int or a finite float: all it accepts."""
+
     experiment_id: str
     inputs: dict
-    records: list[CountRecord]
+    cells: list[_Cell]
+    counts: list
+    duration: float
     derived: dict
+
+    def __post_init__(self):
+        if len(self.cells) != len(self.counts):
+            raise ValueError(f"{len(self.counts)} counts for {len(self.cells)} cells")
+        for v in (self.duration, *self.counts, *[phi for _, phi, _ in self.cells]):
+            if type(v) is not int and (type(v) is not float or not math.isfinite(v)):
+                raise ValueError(f"counts, phi and duration must be plain ints or finite "
+                                 f"floats, not {v!r}")
+        if min(self.counts, default=0) < 0:
+            raise ValueError("counts must be >= 0")
+        if self.duration <= 0:
+            raise ValueError("duration must be > 0")
 
     def to_dict(self) -> dict:
         return {
             "experiment_id": self.experiment_id,
             "inputs": self.inputs,
-            "records": [{"setting": r.setting_label, "phi": r.phi,
-                         "port": r.port.value, "duration": r.duration,
-                         "counts": r.counts} for r in self.records],
+            "records": [{"setting": label, "phi": phi, "port": port.value,
+                         "duration": self.duration, "counts": n}
+                        for (label, phi, port), n in zip(self.cells, self.counts)],
             "derived": self.derived,
         }
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, with the
-        records, its last key, written one f-string each: a CountRecord holds
-        only plain ints and finite floats, whose repr is their JSON spelling."""
+        records, its last key, written one f-string each."""
         head = json_text({"derived": self.derived, "experiment_id": self.experiment_id,
                           "inputs": self.inputs})[:-2]
-        if not self.records:
+        if not self.cells:
             return head + ',\n  "records": []\n}'
         rows = ",\n".join([
-            f'    {{\n      "counts": {r.counts!r},\n      "duration": {r.duration!r},'
-            f'\n      "phi": {r.phi!r},\n      "port": "{r.port.value}",'
-            f'\n      "setting": {encode_basestring_ascii(r.setting_label)}\n    }}'
-            for r in self.records])
+            f'    {{\n      "counts": {n!r},\n      "duration": {self.duration!r},'
+            f'\n      "phi": {phi!r},\n      "port": "{port.value}",'
+            f'\n      "setting": {encode_basestring_ascii(label)}\n    }}'
+            for (label, phi, port), n in zip(self.cells, self.counts)])
         return f'{head},\n  "records": [\n{rows}\n  ]\n}}'
 
     def counts_csv(self) -> str:
-        return records_to_csv(self.records)
+        """``csv.writer(buf, lineterminator="\\n")``'s text for a header and one
+        row per cell, written one f-string per row: only a label can need
+        quoting, and it is quoted, with its quotes doubled, once per distinct label."""
+        labels = {label: '"' + label.replace('"', '""') + '"' if _CSV_QUOTED.search(label)
+                  else label for label in {label for label, _, _ in self.cells}}
+        return "setting,phi,port,duration,counts\n" + "".join([
+            f"{labels[label]},{float(phi)!r},{port.value},{float(self.duration)!r},{n}\n"
+            for (label, phi, port), n in zip(self.cells, self.counts)])
 
 
 def _profile_echo(noise: NoiseProfile, **extra) -> dict:
@@ -190,9 +222,6 @@ def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> Interfe
     return replace(cfg, **plates)
 
 
-_Cell = tuple[str, float, Port]
-
-
 def _counts(p, noise: NoiseProfile, set_label: str) -> list:
     """The counts at every click probability in p, taken row-major, and the
     only place that turns probabilities into counts: expected values, or one
@@ -204,14 +233,6 @@ def _counts(p, noise: NoiseProfile, set_label: str) -> list:
     if noise.exact_probabilities:
         return (rate * t).tolist()
     return sample_counts(rate, t, derive_seed(noise.master_seed, set_label))
-
-
-def _record(counts: list, noise: NoiseProfile, cells: list[_Cell]) -> list[CountRecord]:
-    """A report's count records: one per count from ``_counts``, at its cell
-    (setting label, mirror phase, port)."""
-    t = noise.source.integration_time
-    return [CountRecord(setting_label=label, phi=phi, port=port, duration=t, counts=n)
-            for (label, phi, port), n in zip(cells, counts)]
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
@@ -252,12 +273,12 @@ def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
             # calibrate_phase refuses a flat fringe, so the offset is > 0
             derived[f"{port}_fringe_visibility_err"] = fit.amplitude_stderr / fit.offset
     return ExperimentReport("phase-scan", _profile_echo(noise, n_points=N_SCAN_POINTS),
-                            _record(counts, noise, cells), derived)
+                            cells, counts, noise.source.integration_time, derived)
 
 
 def _calibrated_phi0(noise: NoiseProfile) -> float:
     """phi0 for downstream runs: calibrate only when there is something to find.
-    It is run_phase_scan's phi0, without its records and report."""
+    It is run_phase_scan's phi0, without its report."""
     if noise.phase_offset_error == 0.0:
         return 0.0
     return _calibrate(noise, STATE_V)[2].phi0
@@ -296,7 +317,7 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
     derived["pi_shift_verdict"] = (exchanged("case_I_D1", "case_II_D2")
                                    and exchanged("case_I_D2", "case_II_D1"))
     return ExperimentReport("case-compare", _profile_echo(noise),
-                            _record(counts, noise, cells), derived)
+                            cells, counts, noise.source.integration_time, derived)
 
 
 def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
@@ -334,7 +355,8 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
         "mle_converged": mle_converged,
         "phi0": phi0,
     }
-    return ExperimentReport("qpt", _profile_echo(noise), _record(counts, noise, cells), derived)
+    return ExperimentReport("qpt", _profile_echo(noise), cells, counts,
+                            noise.source.integration_time, derived)
 
 
 def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -344,7 +366,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     only); N_l: reflected arm blocked.  The arms are built once, and the
     three sub-runs are one kernel call with the blocked arm zeroed.  Dark
     counts are subtracted before the ratio; the standard error follows
-    Poisson propagation, stderr = |k| sqrt(1/N + 1/(N_u + N_l)).
+    Poisson propagation, stderr = |k| sqrt(1/N + 1/(N_u + N_l)).  Open counts
+    that are all dark raise EmptyData rather than claim |k| = 0 with no error.
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "estimate-k", phi0)
@@ -361,13 +384,15 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
     if n_split <= 0:
         raise ZeroDenominator("blocked-path counts sum to zero")
+    if n_open <= 0:
+        raise EmptyData("open-path counts are zero after dark subtraction")
     k_abs = n_open / n_split
-    stderr = k_abs * math.sqrt(1.0 / n_open + 1.0 / n_split) if n_open > 0 else 0.0
+    stderr = k_abs * math.sqrt(1.0 / n_open + 1.0 / n_split)
     derived = {"k_abs": k_abs, "stderr": stderr, "phi0": phi0,
                "n_open": n_open, "n_u": corrected["block-transmitted"],
                "n_l": corrected["block-reflected"]}
     return ExperimentReport("estimate-k", _profile_echo(noise),
-                            _record(counts, noise, cells), derived)
+                            cells, counts, noise.source.integration_time, derived)
 
 
 def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -402,7 +427,7 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
         derived["arg_k_err"] = math.hypot(fits["commutator"].phase_stderr,
                                           fits["reference"].phase_stderr)
     return ExperimentReport("phase-of-k", _profile_echo(noise, n_points=N_SCAN_POINTS),
-                            _record(counts, noise, cells), derived)
+                            cells, counts, noise.source.integration_time, derived)
 
 
 @dataclass(frozen=True)

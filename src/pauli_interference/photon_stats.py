@@ -1,4 +1,5 @@
-"""Poissonian coincidence counting, fringe fitting, and phase calibration.
+"""Poissonian coincidence counting, fringe fitting, and phase calibration, on
+count columns alone: the rows a report writes are :mod:`experiments`'s.
 
 Sampling rule (stable across runs and platforms): a record set's seed is
 ``derive_seed(master_seed, set_label)``, the first 8 bytes, little endian, of
@@ -15,13 +16,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationInconsistent, DegenerateScan
-from .optics import Port
 
 
 def reject_bools(obj, *names: str) -> None:
@@ -42,7 +41,7 @@ class SourceModel:
         reject_bools(self, "pair_rate")
         if not (0.0 < self.pair_rate < math.inf and 0.0 < self.integration_time < math.inf):
             raise ValueError("pair_rate and integration_time must be finite and > 0")
-        if type(self.integration_time) not in (int, float):  # every record's duration
+        if type(self.integration_time) not in (int, float):  # every report's duration
             raise ValueError("integration_time must be a plain int or float")
 
 
@@ -57,29 +56,6 @@ class DetectorModel:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_rate < math.inf:
             raise ValueError("dark_rate must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One detector's coincidence count at one apparatus setting."""
-
-    setting_label: str
-    phi: float
-    port: Port
-    duration: float
-    counts: float  # integer for sampled data, float in exact-probability mode
-
-    def __post_init__(self):
-        # report.json writes these numbers with repr, which is their JSON
-        # spelling only for a plain int or a finite float
-        for v in (self.counts, self.phi, self.duration):
-            if type(v) is not int and (type(v) is not float or not math.isfinite(v)):
-                raise ValueError(f"counts, phi and duration must be plain ints or finite "
-                                 f"floats, not {v!r}")
-        if self.counts < 0:
-            raise ValueError("counts must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
 
 
 def expected_rate(p: float | np.ndarray, src: SourceModel,
@@ -107,21 +83,6 @@ def sample_counts(rate, duration: float, seed: int):
     # numpy.random is looked up here, so a run that draws nothing never imports it
     counts = np.random.default_rng(seed).poisson(means * duration)
     return int(counts) if means.ndim == 0 else counts.tolist()
-
-
-# the characters for which csv.writer (excel dialect, lineterminator "\n") quotes a field
-_CSV_QUOTED = re.compile('[,"\n]')
-
-
-def records_to_csv(records: list[CountRecord]) -> str:
-    """``csv.writer(buf, lineterminator="\\n")``'s text for a header and one row
-    per record, written one f-string per row: only a label can need quoting,
-    and it is quoted, with its quotes doubled, once per distinct label."""
-    labels = {label: '"' + label.replace('"', '""') + '"' if _CSV_QUOTED.search(label) else label
-              for label in {r.setting_label for r in records}}
-    return "setting,phi,port,duration,counts\n" + "".join([
-        f"{labels[r.setting_label]},{float(r.phi)!r},{r.port.value},{float(r.duration)!r},"
-        f"{r.counts}\n" for r in records])
 
 
 @dataclass(frozen=True)

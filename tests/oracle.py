@@ -1,6 +1,10 @@
 """Test helpers: matrix and state checks, state distances, the Born
-probabilities of the six tomography settings, and the Poissonian -log L
-oracle of tomography, evaluated at a density matrix."""
+probabilities of the six tomography settings, the Poissonian -log L
+oracle of tomography, evaluated at a density matrix, and the csv module's
+text of a report's counts."""
+
+import csv
+import io
 
 import numpy as np
 
@@ -10,6 +14,17 @@ from pauli_interference.tomography import mle_negative_log_likelihood, tomograph
 _SETTINGS = tomography_settings()
 PROJECTORS = {s.label: s.projector for s in _SETTINGS}
 PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
+
+
+def csv_writer_text(report) -> str:
+    """The reference for ``counts_csv``: the csv module's own output for a
+    report's rows, one per (cell, count)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["setting", "phi", "port", "duration", "counts"])
+    w.writerows([[label, repr(float(phi)), port.value, repr(float(report.duration)), n]
+                 for (label, phi, port), n in zip(report.cells, report.counts)])
+    return buf.getvalue()
 
 
 def setting_probabilities(rho: np.ndarray) -> dict[str, float]:

@@ -14,6 +14,8 @@ code differ.  The runs:
 
 - the README config x the five experiments x {sampled,
   ``--exact-probabilities``, ``--ideal``, both};
+- the README config with an integer ``integration_time`` of 2 x the five
+  experiments x {sampled, ``--exact-probabilities``, ``--format json``};
 - the first 100 ops of each ``perfbench`` workload at seeds 3 and 4;
 - 300 seeded weak-fringe profiles (pair rate 3-300/s, visibility in [0, 1],
   efficiency 0.05-1, dark rate up to 30/s, a phase offset) x {``phase-scan``,
@@ -53,6 +55,11 @@ README_CONFIG = {
 }
 MODES = {"sampled": [], "exact": ["--exact-probabilities"], "ideal": ["--ideal"],
          "ideal-exact": ["--ideal", "--exact-probabilities"]}
+# an int duration is written as 2 in report.json and 2.0 in counts.csv
+README_INT_TIME_CONFIG = {**README_CONFIG, "noise": {
+    **README_CONFIG["noise"], "source": {"pair_rate": 40000.0, "integration_time": 2}}}
+INT_TIME_MODES = {"sampled": [], "exact": ["--exact-probabilities"],
+                  "json": ["--format", "json"]}
 WORKLOAD_SEEDS = (3, 4)
 WORKLOAD_OPS = 100
 N_WEAK = 300
@@ -92,6 +99,12 @@ def runs(tmp: Path, out: Path):
         for mode, flags in MODES.items():
             yield f"readme:{experiment}:{mode}", [experiment, "--config", str(readme),
                                                   *flags, *output]
+    readme_int = tmp / "readme-int-time.json"
+    readme_int.write_text(json.dumps(README_INT_TIME_CONFIG))
+    for experiment in EXPERIMENTS:
+        for mode, flags in INT_TIME_MODES.items():
+            yield f"readme-int-time:{experiment}:{mode}", [experiment, "--config",
+                                                           str(readme_int), *flags, *output]
     for workload in ("fringe", "qpt-mc", "exact"):
         for seed in WORKLOAD_SEEDS:
             ops = generate(workload, seed, tmp / f"{workload}-{seed}", n_ops=WORKLOAD_OPS)

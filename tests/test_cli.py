@@ -252,6 +252,17 @@ def test_case_compare_without_photons_is_experiment_error(tmp_path, capsys, exac
     assert err.startswith("experiment error (EmptyData)") and err.count("\n") == 1
 
 
+def test_estimate_k_on_dark_counts_alone_is_empty_data(tmp_path, capsys):
+    # about 1e-5 signal counts per setting: the open path's counts are dark
+    # counts, and subtracting them leaves no |k| to report, not |k| = 0 +/- 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"detector": {"efficiency": 1e-9, "dark_rate": 30}}}))
+    code, _, err = run_cli(["estimate-k", "--config", str(cfg), "--output", str(tmp_path)],
+                           capsys)
+    assert code == 3
+    assert err.startswith("experiment error (EmptyData)") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("experiment,noise,exact", [
     ("phase-scan", {"detector": {"efficiency": 0.0}}, False),
     ("phase-scan", {"detector": {"efficiency": 0.0}}, True),

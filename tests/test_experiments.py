@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle import csv_writer_text
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
 from pauli_interference.experiments import (ExperimentReport, NoiseProfile,
@@ -13,8 +14,7 @@ from pauli_interference.experiments import (ExperimentReport, NoiseProfile,
                                             run_case_comparison, run_commutator_qpt,
                                             run_phase_of_k, run_phase_scan)
 from pauli_interference.optics import half_wave, prepare_state, quarter_wave
-from pauli_interference.photon_stats import (CountRecord, DetectorModel, SourceModel,
-                                             fit_sinusoid)
+from pauli_interference.photon_stats import DetectorModel, SourceModel, fit_sinusoid
 from pauli_interference.qubit import PureState
 
 
@@ -265,26 +265,28 @@ def test_phase_of_k_flat_fringe_raises():
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
 def test_derived_values_come_from_the_written_records(exact):
     # a run derives its values from the count column it writes, so the same
-    # arithmetic on report.records gives each one back to the bit
+    # arithmetic on the report's cells and counts gives each one back to the bit
     noise = NoiseProfile(phase_offset_error=0.3, visibility=0.9, master_seed=8,
                          detector=DetectorModel(efficiency=0.8, dark_rate=20.0),
                          exact_probabilities=exact)
     report = run_phase_of_k(noise)
     for scan in ("commutator", "reference"):
-        recs = [r for r in report.records if r.setting_label == f"arg-k:{scan}"]
-        fit = fit_sinusoid([r.phi for r in recs], [r.counts for r in recs])
+        rows = [(phi, n) for (label, phi, _), n in zip(report.cells, report.counts)
+                if label == f"arg-k:{scan}"]
+        fit = fit_sinusoid([phi for phi, _ in rows], [n for _, n in rows])
         assert fit.phase.hex() == report.derived[f"{scan}_fringe_phase"].hex()
 
     report = run_case_comparison(noise)
     for case in ("I", "II"):
-        recs = [r for r in report.records if r.setting_label == f"case-{case}"]
-        total = sum(r.counts for r in recs)
-        for r in recs:
-            assert report.derived[f"case_{case}_{r.port.value}"] == r.counts / total
+        rows = [(port, n) for (label, _, port), n in zip(report.cells, report.counts)
+                if label == f"case-{case}"]
+        total = sum(n for _, n in rows)
+        for port, n in rows:
+            assert report.derived[f"case_{case}_{port.value}"] == n / total
 
     report = estimate_k_magnitude(noise)
     dark = noise.detector.dark_rate * noise.source.integration_time
-    counts = {r.setting_label: r.counts for r in report.records}
+    counts = {label: n for (label, _, _), n in zip(report.cells, report.counts)}
     for key, sub_run in (("n_open", "open"), ("n_u", "block-transmitted"),
                          ("n_l", "block-reflected")):
         assert report.derived[key] == max(counts[f"k:{sub_run}"] - dark, 0.0)
@@ -323,8 +325,8 @@ def test_source_scaling():
     noise = replace(NoiseProfile.ideal(),
                     source=SourceModel(pair_rate=2000.0, integration_time=2.0))
     report = run_case_comparison(noise)
-    bright = [r for r in report.records if r.counts > 0]
-    assert max(r.counts for r in bright) == pytest.approx(4000.0, abs=1e-6)
+    bright = [n for _, n in zip(report.cells, report.counts) if n > 0]
+    assert max(bright) == pytest.approx(4000.0, abs=1e-6)
 
 
 # the floats where repr and JSON could part: signed zero, the smallest
@@ -333,28 +335,53 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
                                  1.7976931348623157e308])
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
 _LABELS = st.text() | st.sampled_from(["qpt:H:A", "caf\u00e9 \u03c6\U0001f600", '"\\\n\t\x00\x7f'])
-_RECORDS = st.lists(st.builds(
-    CountRecord, setting_label=_LABELS, phi=_FINITE | st.integers(),
-    port=st.sampled_from(optics.Port),
-    duration=st.floats(min_value=5e-324, allow_infinity=False) | st.integers(1, 10**30),
-    counts=st.integers(0, 10**30) | st.floats(min_value=0.0, allow_infinity=False)
-    | st.just(-0.0)), max_size=6)
+_ROWS = st.lists(st.tuples(
+    st.tuples(_LABELS, _FINITE | st.integers(), st.sampled_from(optics.Port)),
+    st.integers(0, 10**30) | st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)),
+    max_size=6)
+_DURATIONS = st.floats(min_value=5e-324, allow_infinity=False) | st.integers(1, 10**30)
 _VALUES = (st.floats() | st.integers() | st.booleans() | st.none() | _LABELS
            | st.lists(st.floats(), max_size=3))
 _DICTS = st.dictionaries(_LABELS, _VALUES | st.dictionaries(_LABELS, _VALUES, max_size=3),
                          max_size=5)
 
 
-@given(st.builds(ExperimentReport, experiment_id=_LABELS, inputs=_DICTS,
-                 records=_RECORDS, derived=_DICTS))
-@example(ExperimentReport("qpt", {}, [], {"nan": math.nan, "inf": math.inf,
-                                         "-inf": -math.inf}))
+def _report(experiment_id, inputs, rows, duration, derived) -> ExperimentReport:
+    return ExperimentReport(experiment_id, inputs, [cell for cell, _ in rows],
+                            [n for _, n in rows], duration, derived)
+
+
+@given(st.builds(_report, _LABELS, _DICTS, _ROWS, _DURATIONS, _DICTS))
+@example(ExperimentReport("qpt", {}, [], [], 1.0, {"nan": math.nan, "inf": math.inf,
+                                                   "-inf": -math.inf}))
 @example(ExperimentReport("phase-scan", {"n": 1},
-                          [CountRecord("a", -0.0, optics.Port.D2, 5e-324, 0),
-                           CountRecord("\u00e9\"\n", 1e308, optics.Port.D1, 1, -0.0)], {}))
+                          [("a", -0.0, optics.Port.D2), ("\u00e9\"\n", 1e308, optics.Port.D1)],
+                          [0, -0.0], 5e-324, {}))
+@example(ExperimentReport("estimate-k", {}, [("k:open", 0, optics.Port.D2)], [7], 1, {}))
 def test_report_json_is_indent2_sorted_dumps(report):
     # the records are written by hand; every byte must still be json's
     assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+_RUNS = (run_phase_scan, run_case_comparison, run_commutator_qpt, estimate_k_magnitude,
+         run_phase_of_k)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_run_writers_at_integer_duration(run, exact):
+    # an int integration_time is the duration as it is: 2 in report.json,
+    # and 2.0 in counts.csv, where every phi and duration is a float
+    noise = NoiseProfile(phase_offset_error=0.3, master_seed=5, exact_probabilities=exact,
+                         source=SourceModel(integration_time=2))
+    report = run(noise)
+    assert report.duration == 2 and type(report.duration) is int
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    assert '"duration": 2,' in text and '"duration": 2.0' not in text
+    csv_text = report.counts_csv()
+    assert csv_text == csv_writer_text(report)
+    assert all(row.split(",")[3] == "2.0" for row in csv_text.splitlines()[1:])
 
 
 
@@ -401,16 +428,18 @@ def test_calibrated_phi0_is_phase_scan_phi0(noise, d2_shift):
 
 
 def test_case_compare_builds_only_its_own_records(monkeypatch):
-    # the phi0 calibration scan behind a phase offset makes no count record
+    # the phi0 calibration scan behind a phase offset builds no report, and
+    # none of its cells reach case-compare's
     built = []
-    record = experiments.CountRecord
-    monkeypatch.setattr(experiments, "CountRecord",
-                        lambda **kw: built.append(kw) or record(**kw))
+    report_type = experiments.ExperimentReport
+    monkeypatch.setattr(experiments, "ExperimentReport",
+                        lambda *args: built.append(args) or report_type(*args))
     for exact in (False, True):
         built.clear()
         report = run_case_comparison(NoiseProfile(phase_offset_error=0.3, master_seed=8,
                                                   exact_probabilities=exact))
-        assert len(built) == len(report.records) == 4
+        assert len(built) == 1 and len(report.counts) == 4
+        assert [label for label, _, _ in report.cells] == ["case-I"] * 2 + ["case-II"] * 2
 
 
 _SCALARS = (st.floats() | _EDGE_FLOATS | st.integers() | st.integers(-2**80, 2**80)

@@ -1,17 +1,16 @@
-import csv
-import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oracle import csv_writer_text
 from pauli_interference.errors import CalibrationInconsistent, DegenerateScan
+from pauli_interference.experiments import ExperimentReport
 from pauli_interference.optics import Port
-from pauli_interference.photon_stats import (CountRecord, DetectorModel, SourceModel,
-                                             _scan_design, calibrate_phase, derive_seed,
-                                             expected_rate, fit_sinusoid, records_to_csv,
-                                             sample_counts)
+from pauli_interference.photon_stats import (DetectorModel, SourceModel, _scan_design,
+                                             calibrate_phase, derive_seed, expected_rate,
+                                             fit_sinusoid, sample_counts)
 
 
 def test_expected_rate_linear_model():
@@ -38,7 +37,11 @@ def test_model_validation():
     with pytest.raises(ValueError):
         DetectorModel(dark_rate=-1.0)
     with pytest.raises(ValueError):
-        CountRecord("s", 0.0, Port.D1, 1.0, -3)
+        ExperimentReport("e", {}, [("s", 0.0, Port.D1)], [-3], 1.0, {})
+    with pytest.raises(ValueError):  # one count per cell
+        ExperimentReport("e", {}, [("s", 0.0, Port.D1)], [1, 2], 1.0, {})
+    with pytest.raises(ValueError):
+        ExperimentReport("e", {}, [("s", 0.0, Port.D1)] * 2, [1], 1.0, {})
     with pytest.raises(ValueError):
         SourceModel(integration_time=True)
 
@@ -52,7 +55,8 @@ def test_count_record_holds_plain_finite_numbers(field, bad):
     # of a plain int or a finite float
     values = {"counts": 1, "phi": 0.5, "duration": 1.0, field: bad}
     with pytest.raises(ValueError):
-        CountRecord("s", values["phi"], Port.D1, values["duration"], values["counts"])
+        ExperimentReport("e", {}, [("s", values["phi"], Port.D1)], [values["counts"]],
+                         values["duration"], {})
 
 
 def test_sample_counts_zero_rate():
@@ -217,36 +221,33 @@ def test_calibrate_phase_inconsistent_fringes():
 
 
 def test_records_to_csv_layout():
-    recs = [CountRecord("a", 0.5, Port.D1, 1.0, 12),
-            CountRecord("b", -0.5, Port.D2, 2.0, 0)]
-    text = records_to_csv(recs)
+    report = ExperimentReport("e", {}, [("a", 0.5, Port.D1), ("b", -0.5, Port.D2)],
+                              [12, 0], 2, {})
+    text = report.counts_csv()
     lines = text.splitlines()
     assert lines[0] == "setting,phi,port,duration,counts"
-    assert lines[1].startswith("a,0.5,D1,")
+    assert lines[1] == "a,0.5,D1,2.0,12"
     assert len(lines) == 3
-
-
-def _csv_writer_text(records):
-    """The reference: the csv module's own output for the same rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["setting", "phi", "port", "duration", "counts"])
-    w.writerows([[r.setting_label, repr(float(r.phi)), r.port.value,
-                  repr(float(r.duration)), r.counts] for r in records])
-    return buf.getvalue()
+    assert text == csv_writer_text(report)
 
 
 _CSV_LABELS = st.text() | st.text(alphabet=',"\n\r\t \x00a\u00e9')
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ROWS = st.lists(st.tuples(
+    st.tuples(_CSV_LABELS, _FINITE | st.integers(-2**53, 2**53), st.sampled_from(Port)),
+    st.integers(0, 10**18) | st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)),
+    max_size=8)
 
 
-@given(st.lists(st.builds(
-    CountRecord, setting_label=_CSV_LABELS, phi=_FINITE | st.integers(-2**53, 2**53),
-    port=st.sampled_from(Port), duration=st.floats(min_value=5e-324, allow_infinity=False)
-    | st.integers(1, 10**6),
-    counts=st.integers(0, 10**18) | st.floats(min_value=0.0, allow_infinity=False)
-    | st.just(-0.0)), max_size=8))
-@example([CountRecord(label, -0.0, Port.D1, 1, 0) for label in
-          ["", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "\r\n", " pad ", "\x00"]])
-def test_records_to_csv_is_csv_writer(records):
-    assert records_to_csv(records) == _csv_writer_text(records)
+def _report(rows, duration) -> ExperimentReport:
+    return ExperimentReport("e", {}, [cell for cell, _ in rows], [n for _, n in rows],
+                            duration, {})
+
+
+@given(st.builds(_report, _ROWS, st.floats(min_value=5e-324, allow_infinity=False)
+                 | st.integers(1, 10**6)))
+@example(_report([((label, -0.0, Port.D1), 0) for label in
+                  ["", "a,b", 'say "hi"', "two\nlines", "cr\ronly", "\r\n", " pad ", "\x00"]],
+                 1))
+def test_records_to_csv_is_csv_writer(report):
+    assert report.counts_csv() == csv_writer_text(report)
