@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -122,6 +123,20 @@ def print_summary(name: str, derived: dict) -> None:
         print(line)
 
 
+def _write(path: Path, text: str) -> None:
+    """Write all of ``text`` to ``path``; a file that cannot be written is a ConfigError."""
+    data = memoryview(text.encode())
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def run(args) -> int:
     experiment = args.experiment_flag or args.experiment
     if experiment is None:
@@ -140,7 +155,7 @@ def run(args) -> int:
         cal = calibrate_angle_noise(noise)
         derived = {"waveplate_angle_sigma": cal.waveplate_angle_sigma,
                    "mean_fidelity": cal.mean_fidelity, "n_seeds": cal.n_seeds}
-        (out_dir / "report.json").write_text(json_text(derived))
+        _write(out_dir / "report.json", json_text(derived))
         print_summary(experiment, derived)
         return 0
 
@@ -153,11 +168,11 @@ def run(args) -> int:
     }[experiment]
     report = runner()
 
-    (out_dir / "report.json").write_text(report.to_json())
+    _write(out_dir / "report.json", report.to_json())
     if args.format == "csv":
-        (out_dir / "counts.csv").write_text(report.counts_csv())
+        _write(out_dir / "counts.csv", report.counts_csv())
     if "chi" in report.derived:
-        (out_dir / "chi.json").write_text(json_text(report.derived["chi"]))
+        _write(out_dir / "chi.json", json_text(report.derived["chi"]))
     print_summary(experiment, report.derived)
     return 0
 

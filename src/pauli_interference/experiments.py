@@ -4,15 +4,15 @@ proportionality constant in [sigma_z, sigma_x] = k sigma_y.
 
 Every run has one data flow: click probabilities, then one count column
 per record set, then derived values.  Each run builds its interferometer
-(``_apparatus``) and arm operators once; every click probability is a
-kernel call (``interference_probability``), over the mirror-phase grid for
-a fringe scan (``_fringe_scan``) or on a stack of arm pairs otherwise.
+(``_apparatus``) once and a set of plates' arm operators once per process;
+every click probability is a kernel call (``interference_probability``), one
+per fringe scan (``_fringe_scan``) or on a stack of arm pairs otherwise.
 ``_counts`` alone turns probabilities into counts: expected values with
 ``exact_probabilities`` set, else one Poisson stream (``sample_counts``)
 per record set, seeded by the set's label, which no two sets of a run
 share.  Every derived value comes from those columns, and the report
 holds them as they are: one count per cell (setting label, mirror phase,
-port), written as ``report.json``'s records and ``counts.csv``'s rows.
+port), whose row text, rendered once, is ``report.json``'s records and ``counts.csv``'s rows.
 The phi0 calibration (``_calibrate``) fits its scan's columns
 (``calibrate_phase``): the phase scan reports both, and a run with a phase
 offset (``_calibrated_phi0``) keeps only phi0.  All randomness flows from
@@ -25,6 +25,7 @@ writes ``report.json``'s head and ``chi.json`` exactly as
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -149,7 +150,7 @@ class ExperimentReport:
 
     experiment_id: str
     inputs: dict
-    cells: list[_Cell]
+    cells: list[_Cell] | tuple[_Cell, ...]
     counts: list
     duration: float
     derived: dict
@@ -176,6 +177,19 @@ class ExperimentReport:
             "derived": self.derived,
         }
 
+    @functools.cached_property
+    def _rows(self) -> list[tuple[str, str, str, str, str, str]]:
+        """Each row's text, rendered once for both writers (a report is not
+        changed after it is made): its setting as JSON and as CSV spell it,
+        repr(phi), phi as CSV's float repr, its port and repr(count)."""
+        labels = {label: (encode_basestring_ascii(label),
+                          '"' + label.replace('"', '""') + '"' if _CSV_QUOTED.search(label)
+                          else label)
+                  for label in {label for label, _, _ in self.cells}}
+        return [(*labels[label], text := repr(phi),
+                 text if type(phi) is float else repr(float(phi)), port.value, repr(n))
+                for (label, phi, port), n in zip(self.cells, self.counts)]
+
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, with the
         records, its last key, written one f-string each."""
@@ -183,22 +197,19 @@ class ExperimentReport:
                           "inputs": self.inputs})[:-2]
         if not self.cells:
             return head + ',\n  "records": []\n}'
+        duration = repr(self.duration)
         rows = ",\n".join([
-            f'    {{\n      "counts": {n!r},\n      "duration": {self.duration!r},'
-            f'\n      "phi": {phi!r},\n      "port": "{port.value}",'
-            f'\n      "setting": {encode_basestring_ascii(label)}\n    }}'
-            for (label, phi, port), n in zip(self.cells, self.counts)])
+            f'    {{\n      "counts": {n},\n      "duration": {duration},'
+            f'\n      "phi": {phi},\n      "port": "{port}",\n      "setting": {label}\n    }}'
+            for label, _, phi, _, port, n in self._rows])
         return f'{head},\n  "records": [\n{rows}\n  ]\n}}'
 
     def counts_csv(self) -> str:
         """``csv.writer(buf, lineterminator="\\n")``'s text for a header and one
-        row per cell, written one f-string per row: only a label can need
-        quoting, and it is quoted, with its quotes doubled, once per distinct label."""
-        labels = {label: '"' + label.replace('"', '""') + '"' if _CSV_QUOTED.search(label)
-                  else label for label in {label for label, _, _ in self.cells}}
+        row per cell, written one f-string per row."""
+        duration = repr(float(self.duration))
         return "setting,phi,port,duration,counts\n" + "".join([
-            f"{labels[label]},{float(phi)!r},{port.value},{float(self.duration)!r},{n}\n"
-            for (label, phi, port), n in zip(self.cells, self.counts)])
+            f"{label},{phi},{port},{duration},{n}\n" for _, label, _, phi, port, n in self._rows])
 
 
 def _profile_echo(noise: NoiseProfile, **extra) -> dict:
@@ -235,21 +246,29 @@ def _counts(p, noise: NoiseProfile, set_label: str) -> list:
     return sample_counts(rate, t, derive_seed(noise.master_seed, set_label))
 
 
+@functools.cache  # keyed on this module's few scan labels and port sets
+def _scan_layout(label: str, outputs: tuple) -> tuple[tuple[_Cell, ...], np.ndarray]:
+    """A fringe scan's cells, phi-major, and the (k, 1) column of its outputs'
+    cross-term signs: fixed by the scan grid, so built once."""
+    signs = np.array([[sign] for _, sign in outputs])
+    signs.flags.writeable = False
+    return tuple((label, phi, port) for phi in _SCAN_PHIS.tolist() for port, _ in outputs), signs
+
+
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
-                 label: str, outputs: tuple) -> tuple[list[_Cell], list]:
+                 label: str, outputs: tuple) -> tuple[tuple[_Cell, ...], list]:
     """A mirror-phase scan over fixed arm operators a, b, drawn as the record
     set ``label``: its cells and counts, phi-major; ``outputs`` lists the
-    (recorded port, cross-term sign) pairs at each phase.  Each output's
-    probabilities over the whole phi grid are one array pass."""
-    phis = _SCAN_PHIS - noise.phase_offset_error
-    p = np.column_stack([interference_probability(a, b, phis, noise.visibility, psi0, sign)
-                         for _, sign in outputs])
-    cells = [(label, phi, port) for phi in _SCAN_PHIS.tolist() for port, _ in outputs]
-    return cells, _counts(p, noise, label)
+    (recorded port, cross-term sign) pairs at each phase.  Every output's
+    probabilities over the whole phi grid are one kernel call."""
+    cells, signs = _scan_layout(label, outputs)
+    p = interference_probability(a, b, _SCAN_PHIS - noise.phase_offset_error,
+                                 noise.visibility, psi0, signs)
+    return cells, _counts(p.T, noise, label)
 
 
 def _calibrate(noise: NoiseProfile,
-               psi0: PureState) -> tuple[list[_Cell], list, PhaseCalibration]:
+               psi0: PureState) -> tuple[tuple[_Cell, ...], list, PhaseCalibration]:
     """The phi0 calibration: the cells and counts of a scan with all plates
     at sigma_z, D1 and D2 at each phase, and the fit of its two fringes."""
     # the scan sets the mirror phase itself, so the apparatus phi0 is unused

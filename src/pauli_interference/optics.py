@@ -19,6 +19,7 @@ isolates the sigma2*sigma1 amplitude and vice versa.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,9 +111,19 @@ def case_ii(phi: float = 0.0, visibility: float = 1.0) -> InterferometerConfig:
 
 
 def arm_operators(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with A = sigma2*sigma1 on the transmitted arm, B = sigma4*sigma3 on the reflected."""
-    return (waveplate_matrix(cfg.sigma2) @ waveplate_matrix(cfg.sigma1),
-            waveplate_matrix(cfg.sigma4) @ waveplate_matrix(cfg.sigma3))
+    """(A, B) with A = sigma2*sigma1 on the transmitted arm, B = sigma4*sigma3 on
+    the reflected, read-only and built once per set of plates (``_plate_arms``)."""
+    return _plate_arms(cfg.sigma1, cfg.sigma2, cfg.sigma3, cfg.sigma4)
+
+
+# Equal plates have equal bits (an angle is reduced mod pi, never -0.0), so a
+# cached pair is a rebuild's; noisy runs draw new plates, hence the bound.
+@functools.lru_cache(maxsize=64)
+def _plate_arms(s1: WavePlate, s2: WavePlate, s3: WavePlate, s4: WavePlate) -> tuple:
+    a = waveplate_matrix(s2) @ waveplate_matrix(s1)
+    b = waveplate_matrix(s4) @ waveplate_matrix(s3)
+    a.flags.writeable = b.flags.writeable = False  # shared by every caller
+    return a, b
 
 
 def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
@@ -137,7 +148,9 @@ def interference_probability(a: np.ndarray, b: np.ndarray, phi: float | np.ndarr
     clamped to [0, 1].  Visibility scales only the cross term.  A call takes
     one arm pair and a scalar or array ``phi`` (a fringe scan in one pass), or
     (k, 2, 2) stacks of pairs and a scalar ``phi``, not both; p has the shape
-    of ``phi`` or of the stack, the same bits per pair in either form.  The
+    of ``phi`` or of the stack, the same bits per pair in either form.
+    ``sign`` is +1 or -1, or a (k, 1) column of them with a 1-d ``phi``: p is
+    then (k, len(phi)), row j the bits of a call with ``sign[j][0]``.  The
     real part of the cross term is written out: ``(overlap * turn).real``
     rounds differently on an array than on a scalar.
     """
@@ -146,7 +159,7 @@ def interference_probability(a: np.ndarray, b: np.ndarray, phi: float | np.ndarr
     turn = np.exp(1j * phi)
     cross = overlap.real * turn.real - overlap.imag * turn.imag
     p = 0.25 * (np.vecdot(av, av).real + np.vecdot(bv, bv).real
-                + sign * 2.0 * visibility * cross)
+                + np.multiply(sign, 2.0) * visibility * cross)
     return np.clip(p, 0.0, 1.0)
 
 

@@ -20,7 +20,10 @@ code differ.  The runs:
 - 300 seeded weak-fringe profiles (pair rate 3-300/s, visibility in [0, 1],
   efficiency 0.05-1, dark rate up to 30/s, a phase offset) x {``phase-scan``,
   ``estimate-k``, ``phase-of-k``};
-- malformed config files, each of which should exit 2.
+- malformed config files, each of which should exit 2;
+- the README config x the five experiments, ``--exact-probabilities``, into
+  an output directory that holds a directory named ``report.json``,
+  ``counts.csv`` or ``chi.json``: a run that must write that file should exit 2.
 
 pytest does not collect this file: its name does not start with ``test_``.
 """
@@ -64,6 +67,7 @@ WORKLOAD_SEEDS = (3, 4)
 WORKLOAD_OPS = 100
 N_WEAK = 300
 WEAK_EXPERIMENTS = ("phase-scan", "estimate-k", "phase-of-k")
+OUTPUT_FILES = ("report.json", "counts.csv", "chi.json")
 
 
 def _bad_configs() -> dict[str, bytes]:
@@ -91,7 +95,8 @@ def _weak_config(rng: random.Random) -> dict:
 
 def runs(tmp: Path, out: Path):
     """Yield (id, argv) for every run, writing the config files under tmp and
-    the outputs to out."""
+    the outputs to out, or, where one output file cannot be written, to a
+    directory of its own under tmp."""
     output = ["--output", str(out)]
     readme = tmp / "readme.json"
     readme.write_text(json.dumps(README_CONFIG))
@@ -121,6 +126,13 @@ def runs(tmp: Path, out: Path):
         path.write_bytes(data)
         yield f"config:{name}", ["case-compare", "--config", str(path),
                                  "--exact-probabilities", *output]
+    for name in OUTPUT_FILES:  # a directory by that name: the file cannot be written
+        blocked = tmp / f"unwritable-{name}"
+        (blocked / name).mkdir(parents=True)
+        for experiment in EXPERIMENTS:
+            yield f"unwritable:{name}:{experiment}", [experiment, "--config", str(readme),
+                                                      "--exact-probabilities",
+                                                      "--output", str(blocked)]
 
 
 def _digest(data: bytes | None) -> str:
@@ -128,9 +140,10 @@ def _digest(data: bytes | None) -> str:
 
 
 def run_one(argv: list[str], out: Path, tmp: Path) -> list[str]:
-    """One CLI run's exit code and the digests of everything it wrote."""
-    for name in ("report.json", "counts.csv", "chi.json"):
-        (out / name).unlink(missing_ok=True)
+    """One CLI run's exit code and the digests of every file it wrote to out."""
+    for name in OUTPUT_FILES:
+        if (out / name).is_file():
+            (out / name).unlink()
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -141,8 +154,8 @@ def run_one(argv: list[str], out: Path, tmp: Path) -> list[str]:
             code = 1
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     err = stderr.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    files = [(out / name).read_bytes() if (out / name).exists() else None
-             for name in ("report.json", "counts.csv", "chi.json")]
+    files = [(out / name).read_bytes() if (out / name).is_file() else None
+             for name in OUTPUT_FILES]
     texts = [t.replace(str(tmp), "$TMP").encode() for t in (stdout.getvalue(), err)]
     return [str(code)] + [_digest(d) for d in files + texts]
 
@@ -153,7 +166,7 @@ def main() -> int:
         out = tmp / "out"
         out.mkdir()
         for run_id, argv in runs(tmp, out):
-            fields = run_one(argv, out, tmp)
+            fields = run_one(argv, Path(argv[argv.index("--output") + 1]), tmp)
             shown = " ".join(argv).replace(str(tmp), "$TMP")
             print("\t".join([run_id, shown] + fields), flush=True)
     return 0

@@ -301,6 +301,41 @@ def test_calibrate_noise_report_is_json_dumps_text(tmp_path, capsys, monkeypatch
                                                                 sort_keys=True)
 
 
+@pytest.mark.parametrize("experiment, blocked", [
+    ("phase-scan", "report.json"), ("phase-scan", "counts.csv"), ("qpt", "chi.json"),
+    ("calibrate-noise", "report.json")])
+def test_unwritable_output_file_is_config_error(tmp_path, capsys, monkeypatch, experiment,
+                                                blocked):
+    # a directory where an output file goes: exit 2 with one line, no traceback;
+    # a fidelity inside the window ends calibrate-noise's search at once
+    monkeypatch.setattr(experiments, "mean_qpt_fidelity", lambda *args: 0.94)
+    (tmp_path / blocked).mkdir()
+    code, _, err = run_cli([experiment, "--exact-probabilities", "--output", str(tmp_path)],
+                           capsys)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {tmp_path / blocked}: ")
+    assert err.count("\n") == 1
+
+
+def test_partial_writes_are_finished(tmp_path, capsys, monkeypatch):
+    # os.write may write fewer bytes than asked; every file is still whole
+    argv = ["qpt", "--seed", "3", "--output"]
+    assert run_cli(argv + [str(tmp_path / "whole")], capsys)[0] == 0
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert run_cli(argv + [str(tmp_path / "short")], capsys)[0] == 0
+    monkeypatch.undo()
+    assert max(sizes) == 7
+    for name in ("report.json", "counts.csv", "chi.json"):
+        whole = (tmp_path / "whole" / name).read_bytes()
+        assert (tmp_path / "short" / name).read_bytes() == whole and len(whole) > 7
+
+
 def test_json_format_writes_records_to_report_only(tmp_path, capsys):
     runs = {}
     for fmt in ("csv", "json"):

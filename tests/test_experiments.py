@@ -36,8 +36,9 @@ def test_phase_scan_recovers_injected_visibility():
 
 def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
     # a scan sweeps phi over fixed arms: the four plates' matrices are built
-    # once per apparatus, not once per phase point, and each recorded port's
+    # once per apparatus, not once per phase point, and every recorded port's
     # probabilities over the whole phi grid come from one kernel call
+    optics._plate_arms.cache_clear()
     built, kernel_calls = [], []
     original = optics.waveplate_matrix
     monkeypatch.setattr(optics, "waveplate_matrix",
@@ -48,12 +49,13 @@ def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
     noise = NoiseProfile(phase_offset_error=0.3, master_seed=8)
     run_phase_scan(noise)
     assert len(built) <= 4
-    assert len(kernel_calls) <= 2
+    assert len(kernel_calls) == 1
+    optics._plate_arms.cache_clear()
     built.clear()
     kernel_calls.clear()
     run_phase_of_k(noise)  # the calibration scan, then the inner apparatus
     assert len(built) <= 8
-    assert len(kernel_calls) <= 4
+    assert len(kernel_calls) == 3  # the calibration, commutator and reference scans
 
 
 def test_qpt_builds_each_jones_matrix_once(monkeypatch):
@@ -72,6 +74,7 @@ def test_qpt_builds_each_jones_matrix_once(monkeypatch):
         monkeypatch.setattr(owner, "conditional_output_state",
                             lambda *args: conditional_calls.append(args) or conditional(*args))
     for exact in (True, False):
+        optics._plate_arms.cache_clear()
         built.clear()
         kernel_calls.clear()
         run_commutator_qpt(NoiseProfile(waveplate_angle_sigma=0.05, master_seed=9,
@@ -101,12 +104,29 @@ def test_case_compare_and_estimate_k_build_their_arms_once(monkeypatch):
                              exact_probabilities=exact)
         for run, max_built, n_kernel_calls in ((run_case_comparison, 8, 2),
                                                (estimate_k_magnitude, 4, 1)):
+            optics._plate_arms.cache_clear()
             built.clear()
             kernel_calls.clear()
             run(noise)
             assert len(built) <= max_built
             assert len(kernel_calls) == n_kernel_calls
             assert per_port_calls == []
+
+
+@pytest.mark.parametrize("run", [run_phase_scan, run_case_comparison, run_commutator_qpt,
+                                 estimate_k_magnitude, run_phase_of_k],
+                         ids=lambda run: run.__name__)
+def test_noiseless_rerun_builds_no_jones_matrix(run, monkeypatch):
+    # plates without angle noise are the same plates on every run: the second
+    # run takes its arms from the cache, and its report is the first's
+    noise = NoiseProfile(phase_offset_error=0.3, master_seed=7)
+    first = run(noise).to_json()
+    built = []
+    original = optics.waveplate_matrix
+    monkeypatch.setattr(optics, "waveplate_matrix",
+                        lambda wp: built.append(wp) or original(wp))
+    assert run(noise).to_json() == first
+    assert built == []
 
 
 def test_each_record_set_is_one_poisson_batch(monkeypatch):
@@ -359,8 +379,14 @@ def _report(experiment_id, inputs, rows, duration, derived) -> ExperimentReport:
                           [0, -0.0], 5e-324, {}))
 @example(ExperimentReport("estimate-k", {}, [("k:open", 0, optics.Port.D2)], [7], 1, {}))
 def test_report_json_is_indent2_sorted_dumps(report):
-    # the records are written by hand; every byte must still be json's
+    # the records are written by hand; every byte must still be json's, and
+    # the rows csv's, whichever writer renders their shared text first
+    csv_text = report.counts_csv()
     assert report.to_json() == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    assert report.counts_csv() == csv_text == csv_writer_text(report)
+    fresh = replace(report)
+    assert fresh.to_json() == report.to_json()
+    assert fresh.counts_csv() == csv_text
 
 
 _RUNS = (run_phase_scan, run_case_comparison, run_commutator_qpt, estimate_k_magnitude,

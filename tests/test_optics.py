@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracle import is_hermitian
 from pauli_interference import experiments
@@ -54,6 +54,30 @@ def test_half_wave_squares_to_identity(angle):
     m = waveplate_matrix(half_wave(angle))
     assert is_hermitian(m, 1e-12)
     assert np.abs(m @ m - IDENTITY).max() <= 1e-12
+
+
+_PLATES = st.builds(WavePlate, st.sampled_from([math.pi, math.pi / 2])
+                    | st.floats(0.01, 2 * math.pi - 0.01),
+                    st.sampled_from([0.0, -0.0, math.pi / 4, math.pi, -math.pi])
+                    | st.floats(-10.0, 10.0))
+
+
+@given(st.tuples(_PLATES, _PLATES, _PLATES, _PLATES))
+@example(tuple(half_wave(angle) for angle in (0.0, -0.0, math.pi, -math.pi)))
+def test_arm_operators_are_cached_read_only_rebuilds(plates):
+    # a cached pair has the bits of a fresh build, and a caller cannot write
+    # into the copy every other caller shares
+    cfg = InterferometerConfig(*plates)
+    for _ in range(2):
+        a, b = arm_operators(cfg)
+        s1, s2, s3, s4 = plates
+        assert a.tobytes() == (waveplate_matrix(s2) @ waveplate_matrix(s1)).tobytes()
+        assert b.tobytes() == (waveplate_matrix(s4) @ waveplate_matrix(s3)).tobytes()
+        for arm in (a, b):
+            with pytest.raises(ValueError):
+                arm[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                arm *= 2.0
 
 
 def _overlaps_up_to_phase(psi: PureState, target: np.ndarray) -> float:
@@ -135,6 +159,11 @@ def test_interference_probability_array_is_bit_identical_to_scalar():
         assert p.shape == phis.shape
         assert p.tolist() == [float(interference_probability(a, b, float(phi), 0.95, psi, sign))
                               for phi in phis]
+    # a (k, 1) sign column: every port of a fringe scan in one call
+    p = interference_probability(a, b, phis, 0.95, psi, [[1.0], [-1.0]])
+    assert p.shape == (2, len(phis))
+    assert p.tolist() == [interference_probability(a, b, phis, 0.95, psi, sign).tolist()
+                          for sign in (1.0, -1.0)]
     # a (6, 2, 2) stack of arm pairs at one phase, as QPT's six analyzers make
     pa, pb = _PROJECTORS @ a, _PROJECTORS @ b
     for sign in (1.0, -1.0):
