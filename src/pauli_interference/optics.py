@@ -149,10 +149,11 @@ def interference_probability(a: np.ndarray, b: np.ndarray, phi: float | np.ndarr
     one arm pair and a scalar or array ``phi`` (a fringe scan in one pass), or
     (k, 2, 2) stacks of pairs and a scalar ``phi``, not both; p has the shape
     of ``phi`` or of the stack, the same bits per pair in either form.
-    ``sign`` is +1 or -1, or a (k, 1) column of them with a 1-d ``phi``: p is
-    then (k, len(phi)), row j the bits of a call with ``sign[j][0]``.  The
-    real part of the cross term is written out: ``(overlap * turn).real``
-    rounds differently on an array than on a scalar.
+    ``sign`` is +1 or -1, or a (k, 1) column of them, which broadcasts against
+    a 1-d ``phi`` or an (n, 2, 2) stack: p is then (k, len(phi)) or (k, n), row
+    j the bits of a call with ``sign[j][0]``.  The real part of the cross term
+    is written out: ``(overlap * turn).real`` rounds differently on an array
+    than on a scalar.
     """
     av, bv = a @ psi0.vector, b @ psi0.vector
     overlap = np.vecdot(bv, av)

@@ -1,7 +1,7 @@
 """Poissonian coincidence counting, fringe fitting, and phase calibration, on
 count columns alone: the rows a report writes are :mod:`experiments`'s.
 
-Sampling rule (stable across runs and platforms): a record set's seed is
+Sampling rule (stable for one numpy version, NEP 19): a record set's seed is
 ``derive_seed(master_seed, set_label)``, the first 8 bytes, little endian, of
 SHA-256("{master_seed}:{set_label}:0"), and its counts are one call
 ``np.random.default_rng(seed).poisson(means)`` over the set's means in order

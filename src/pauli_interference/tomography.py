@@ -66,7 +66,7 @@ def _bloch_rho(s) -> np.ndarray:
 class LinearInversionResult:
     rho: np.ndarray
     bloch: np.ndarray          # (s_x, s_y, s_z)
-    physical: bool             # min eigenvalue >= -1e-10
+    physical: bool             # |s|^2 <= 1: the state qst_mle returns as it is
 
 
 def qst_linear(counts: dict[str, float]) -> LinearInversionResult:
@@ -74,9 +74,8 @@ def qst_linear(counts: dict[str, float]) -> LinearInversionResult:
     _check_pairs(counts)
     bloch = np.array([(counts[p] - counts[m]) / (counts[p] + counts[m])
                       for p, m in _STOKES_PAIRS])
-    rho = _bloch_rho(bloch)
-    physical = bool(np.linalg.eigvalsh(rho).min() >= -1e-10)
-    return LinearInversionResult(rho=rho, bloch=bloch, physical=physical)
+    return LinearInversionResult(rho=_bloch_rho(bloch), bloch=bloch,
+                                 physical=bool(bloch @ bloch <= 1.0))
 
 
 # dT/dx for the upper-triangular factor T = [[x0, x2 + i*x3], [0, x1]]
@@ -187,7 +186,7 @@ def qst_mle(counts: dict[str, float]) -> MleResult:
     to |s| = 1, a pure state.
     """
     linear = qst_linear(counts)
-    if linear.bloch @ linear.bloch <= 1.0:
+    if linear.physical:
         return MleResult(rho=linear.rho, converged=True, iterations=0)
     pairs = [(float(counts[p]), float(counts[m])) for p, m in _STOKES_PAIRS]
 

@@ -1,7 +1,8 @@
 """Test helpers: matrix and state checks, state distances, the Born
 probabilities of the six tomography settings, the Poissonian -log L
-oracle of tomography, evaluated at a density matrix, and the csv module's
-text of a report's counts."""
+oracle of tomography, evaluated at a density matrix, and the references for
+a report's two writers: the dict ``report.json`` dumps and the csv module's
+text of its counts."""
 
 import csv
 import io
@@ -14,6 +15,19 @@ from pauli_interference.tomography import mle_negative_log_likelihood, tomograph
 _SETTINGS = tomography_settings()
 PROJECTORS = {s.label: s.projector for s in _SETTINGS}
 PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
+
+
+def report_dict(report) -> dict:
+    """The reference for ``to_json``: ``report.json`` is exactly
+    ``json.dumps(report_dict(report), indent=2, sort_keys=True)``."""
+    return {
+        "experiment_id": report.experiment_id,
+        "inputs": report.inputs,
+        "records": [{"setting": label, "phi": phi, "port": port.value,
+                     "duration": report.duration, "counts": n}
+                    for (label, phi, port), n in zip(report.cells, report.counts)],
+        "derived": report.derived,
+    }
 
 
 def csv_writer_text(report) -> str:

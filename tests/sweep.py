@@ -19,7 +19,8 @@ code differ.  The runs:
 - the first 100 ops of each ``perfbench`` workload at seeds 3 and 4;
 - 300 seeded weak-fringe profiles (pair rate 3-300/s, visibility in [0, 1],
   efficiency 0.05-1, dark rate up to 30/s, a phase offset) x {``phase-scan``,
-  ``estimate-k``, ``phase-of-k``};
+  ``estimate-k``, ``phase-of-k``, ``qpt``}: weak-signal ``qpt`` is where linear
+  inversion is most often unphysical;
 - malformed config files, each of which should exit 2;
 - the README config x the five experiments, ``--exact-probabilities``, into
   an output directory that holds a directory named ``report.json``,
@@ -66,7 +67,7 @@ INT_TIME_MODES = {"sampled": [], "exact": ["--exact-probabilities"],
 WORKLOAD_SEEDS = (3, 4)
 WORKLOAD_OPS = 100
 N_WEAK = 300
-WEAK_EXPERIMENTS = ("phase-scan", "estimate-k", "phase-of-k")
+WEAK_EXPERIMENTS = ("phase-scan", "estimate-k", "phase-of-k", "qpt")
 OUTPUT_FILES = ("report.json", "counts.csv", "chi.json")
 
 

@@ -171,6 +171,18 @@ def test_interference_probability_array_is_bit_identical_to_scalar():
         assert p.shape == (6,)
         assert p.tolist() == [float(interference_probability(x, y, 0.3, 0.95, psi, sign))
                               for x, y in zip(pa, pb)]
+    # a (2, 2, 2) stack with the sign column, as case-compare's two apparatus
+    # make: row j has the scalar-sign call's bits, compared by hex so that a
+    # -0.0 against a 0.0 would show
+    noise = experiments.NoiseProfile(waveplate_angle_sigma=0.05, master_seed=8)
+    a2, b2 = arm_operators(experiments._apparatus(case_ii, noise, "case-II", 0.0))
+    stack_a, stack_b = np.stack([a, a2]), np.stack([b, b2])
+    for phi, visibility in ((0.3, 0.95), (1.1, 0.0)):
+        p = interference_probability(stack_a, stack_b, phi, visibility, psi, [[1.0], [-1.0]])
+        assert p.shape == (2, 2)
+        for row, sign in zip(p, (1.0, -1.0)):
+            scalar = interference_probability(stack_a, stack_b, phi, visibility, psi, sign)
+            assert [x.hex() for x in row.tolist()] == [x.hex() for x in scalar.tolist()]
 
 
 def test_kernel_on_projected_arms_is_port_probability_times_conditional_state():

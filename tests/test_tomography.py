@@ -84,6 +84,25 @@ def test_qst_linear_nonphysical_flagged():
     assert np.linalg.eigvalsh(res.rho).min() < 0
 
 
+def test_qst_linear_physical_is_the_state_qst_mle_keeps():
+    # one rule for both estimators: linear inversion is physical exactly when
+    # the MLE returns it without a multiplier step.  The first set has
+    # |s|^2 - 1 = 4e-12, inside the -1e-10 tolerance an eigenvalue test would allow
+    rng = np.random.default_rng(21)
+    sets = [{"H": 1.0, "V": 0.0, "D": 0.5 + 1e-6, "A": 0.5 - 1e-6, "R": 0.5, "L": 0.5}]
+    for _ in range(400):
+        probs = setting_probabilities(random_state(rng, pure=rng.random() < 0.5))
+        scale = 10.0 ** rng.uniform(0.0, 4.0)
+        sets.append({k: float(rng.poisson(scale * v)) for k, v in probs.items()})
+    flags = []
+    for counts in sets:
+        if any(counts[a] + counts[b] == 0 for a, b in PAIRS):
+            continue
+        flags.append(qst_linear(counts).physical)
+        assert flags[-1] == (qst_mle(counts).iterations == 0), counts
+    assert not flags[0] and len(flags) > 300 and 0 < sum(flags) < len(flags) - 100
+
+
 def test_qst_mle_pure_state_consistency():
     rng = np.random.default_rng(5)
     for _ in range(10):
