@@ -10,17 +10,18 @@ per fringe scan (``_fringe_scan``) or on a stack of arm pairs otherwise.
 ``_counts`` alone turns probabilities into counts: expected values with
 ``exact_probabilities`` set, else one Poisson stream (``sample_counts``)
 per record set, seeded by the set's label, which no two sets of a run
-share.  Every derived value comes from those columns, and the report
-holds them as they are: one count per cell (setting label, mirror phase,
-port), whose row text, rendered once, is ``report.json``'s records and ``counts.csv``'s rows.
-The phi0 calibration (``_calibrate``) fits its scan's columns
-(``calibrate_phase``): the phase scan reports both, and a run with a phase
-offset (``_calibrated_phi0``) keeps only phi0.  All randomness flows from
-``NoiseProfile.master_seed`` through ``derive_seed``, one seed per record
-set and one per apparatus's plate errors, so a report is a pure function of
-its profile; the sampling rule is in :mod:`photon_stats`.  ``json_text``
-writes ``report.json``'s head and ``chi.json`` exactly as
-``json.dumps(..., indent=2, sort_keys=True)``.
+share.  Every derived value comes from those columns, and one constructor
+(``_report``) makes every run's report: the columns as they are, one count
+per cell (setting label, mirror phase, port), the profile echoed, and no
+``_err`` key from an exact run.  A cell's row text, rendered once, is
+``report.json``'s records and ``counts.csv``'s rows.  The phi0 calibration
+(``_calibrate``) fits its scan's columns (``calibrate_phase``): the phase
+scan reports both, and a run with a phase offset (``_calibrated_phi0``)
+keeps only phi0.  All randomness flows from ``NoiseProfile.master_seed``
+through ``derive_seed``, one seed per record set and one per apparatus's
+plate errors, so a report is a pure function of its profile; the sampling
+rule is in :mod:`photon_stats`.  ``json_text`` writes ``report.json``'s
+head and ``chi.json`` exactly as ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -200,11 +201,17 @@ class ExperimentReport:
             f"{label},{phi},{port},{duration},{n}\n" for _, label, _, phi, port, n in self._rows])
 
 
-def _profile_echo(noise: NoiseProfile, **extra) -> dict:
-    """``{**asdict(noise), **extra}`` in fresh dicts, without asdict's deep
-    copy: the detector and source are flat, and every other field a scalar."""
-    return {**vars(noise), "detector": {**vars(noise.detector)},
-            "source": {**vars(noise.source)}, **extra}
+def _report(experiment_id: str, noise: NoiseProfile, cells, counts, derived: dict,
+            **extra) -> ExperimentReport:
+    """A run's report, counted for the integration time: ``inputs`` is
+    ``{**asdict(noise), **extra}`` in fresh dicts (the detector and source are flat, so
+    no deep copy), and an exact run, with no shot noise, reports no ``_err`` key."""
+    if noise.exact_probabilities:
+        derived = {k: v for k, v in derived.items() if not k.endswith("_err")}
+    inputs = {**vars(noise), "detector": {**vars(noise.detector)},
+              "source": {**vars(noise.source)}, **extra}
+    return ExperimentReport(experiment_id, inputs, cells, counts,
+                            noise.source.integration_time, derived)
 
 
 def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> InterferometerConfig:
@@ -269,18 +276,14 @@ def _calibrate(noise: NoiseProfile,
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
     """Scan the mirror phase with all plates at sigma_z and calibrate phi0."""
     cells, counts, cal = _calibrate(noise, psi0)
-    derived = {"phi0": cal.phi0,
+    derived = {"phi0": cal.phi0, "phi0_err": cal.stderr,
                "d1_d2_antiphase": abs(_wrap_near(cal.d2_fit.phase - cal.d1_fit.phase, 0.0))}
-    if not noise.exact_probabilities:
-        derived["phi0_err"] = cal.stderr
     for port, fit in (("d1", cal.d1_fit), ("d2", cal.d2_fit)):
         for key in ("offset", "amplitude", "phase", "fringe_visibility"):
             derived[f"{port}_{key}"] = getattr(fit, key)
-        if not noise.exact_probabilities:
-            # calibrate_phase refuses a flat fringe, so the offset is > 0
-            derived[f"{port}_fringe_visibility_err"] = fit.amplitude_stderr / fit.offset
-    return ExperimentReport("phase-scan", _profile_echo(noise, n_points=N_SCAN_POINTS),
-                            cells, counts, noise.source.integration_time, derived)
+        # calibrate_phase refuses a flat fringe, so the offset is > 0
+        derived[f"{port}_fringe_visibility_err"] = fit.amplitude_stderr / fit.offset
+    return _report("phase-scan", noise, cells, counts, derived, n_points=N_SCAN_POINTS)
 
 
 def _calibrated_phi0(noise: NoiseProfile) -> float:
@@ -316,20 +319,18 @@ def run_case_comparison(noise: NoiseProfile, psi0: PureState = STATE_V) -> Exper
         for port, n in zip(ports, pair):
             key = f"case_{case_name}_{port.value}"
             q = derived[key] = n / total
-            if not noise.exact_probabilities:
-                # binomial stderr of the normalized rate
-                derived[key + "_err"] = math.sqrt(max(q * (1 - q), 1.0 / total) / total)
+            # binomial stderr of the normalized rate
+            derived[key + "_err"] = math.sqrt(max(q * (1 - q), 1.0 / total) / total)
 
     def exchanged(a: str, b: str) -> bool:
         # a difference of two independent rates: its stderr adds theirs in quadrature
         tol = 1e-9 if noise.exact_probabilities else 5.0 * math.hypot(
-            derived.get(a + "_err", 0.0), derived.get(b + "_err", 0.0))
+            derived[a + "_err"], derived[b + "_err"])
         return abs(derived[a] - derived[b]) <= tol
 
     derived["pi_shift_verdict"] = (exchanged("case_I_D1", "case_II_D2")
                                    and exchanged("case_I_D2", "case_II_D1"))
-    return ExperimentReport("case-compare", _profile_echo(noise),
-                            cells, counts, noise.source.integration_time, derived)
+    return _report("case-compare", noise, cells, counts, derived)
 
 
 def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
@@ -367,8 +368,7 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
         "mle_converged": mle_converged,
         "phi0": phi0,
     }
-    return ExperimentReport("qpt", _profile_echo(noise), cells, counts,
-                            noise.source.integration_time, derived)
+    return _report("qpt", noise, cells, counts, derived)
 
 
 def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -381,8 +381,10 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     Poisson propagation, stderr = |k| sqrt(1/N + 1/(N_u + N_l)), which treats
     the dark-subtracted counts as Poisson counts: it is too small when dark
     counts are comparable to the signal (about 2.8x at dark rate 2000/s
-    against pair rate 1000/s).  Open counts that are all dark raise EmptyData
-    rather than claim |k| = 0 with no error.
+    against pair rate 1000/s).  ``stderr`` is the one error not named ``_err``:
+    an exact run reports it too, from expected counts, and the CLI prints it
+    on its own line, with no +/-.  Open counts that are all dark raise
+    EmptyData rather than claim |k| = 0 with no error.
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "estimate-k", phi0)
@@ -406,8 +408,7 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     derived = {"k_abs": k_abs, "stderr": stderr, "phi0": phi0,
                "n_open": n_open, "n_u": corrected["block-transmitted"],
                "n_l": corrected["block-reflected"]}
-    return ExperimentReport("estimate-k", _profile_echo(noise),
-                            cells, counts, noise.source.integration_time, derived)
+    return _report("estimate-k", noise, cells, counts, derived)
 
 
 def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -416,7 +417,8 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
     An outer interferometer interferes the inner D2 (commutator) output
     with a reference arm carrying a single sigma_y operation; the fitted
     fringe-phase difference between this scan and a reference-vs-reference
-    scan is the phase of k (pi/2 ideally).
+    scan is the phase of k (pi/2 ideally).  Visibility scales only the outer
+    scans' cross term: the inner port is ``port_operator``, which ignores it.
     """
     phi0 = _calibrated_phi0(noise)
     m_com = port_operator(_apparatus(case_ii, noise, "phase-of-k", phi0), Port.D2)
@@ -434,15 +436,12 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
             raise DegenerateScan(f"{scan_label} scan has no usable fringe")
         fits[scan_label] = fit
     arg_k = _wrap_near(fits["reference"].phase - fits["commutator"].phase, 0.0)
-    derived = {"arg_k": arg_k,
+    derived = {"arg_k": arg_k, "phi0": phi0,
+               "arg_k_err": math.hypot(fits["commutator"].phase_stderr,
+                                       fits["reference"].phase_stderr),
                "commutator_fringe_phase": fits["commutator"].phase,
-               "reference_fringe_phase": fits["reference"].phase,
-               "phi0": phi0}
-    if not noise.exact_probabilities:
-        derived["arg_k_err"] = math.hypot(fits["commutator"].phase_stderr,
-                                          fits["reference"].phase_stderr)
-    return ExperimentReport("phase-of-k", _profile_echo(noise, n_points=N_SCAN_POINTS),
-                            cells, counts, noise.source.integration_time, derived)
+               "reference_fringe_phase": fits["reference"].phase}
+    return _report("phase-of-k", noise, cells, counts, derived, n_points=N_SCAN_POINTS)
 
 
 @dataclass(frozen=True)

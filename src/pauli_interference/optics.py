@@ -130,7 +130,7 @@ def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
     """Effective operator seen at a detector port.
 
     D1 -> (i/2)(A e^{i phi} + B), D2 -> (1/2)(A e^{i phi} - B); the 1/2 from
-    each beam splitter is retained.
+    each beam splitter is retained.  It is coherent: ``cfg.visibility`` is not applied.
     """
     a, b = arm_operators(cfg)
     ph = np.exp(1j * cfg.phi)

@@ -138,7 +138,8 @@ def fit_sinusoid(phis, counts) -> FringeFit:
     dof = max(len(counts) - 3, 1)
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * normal_inv
-    if amplitude > 0:
+    # amplitude**2 underflows to 0 below about 1e-162: take the amplitude-0 branch
+    if amplitude**2 > 0:
         # d(phase)/d(a1,a2) = (-a2, a1)/amp^2 ; d(amp)/d(a1,a2) = (a1, a2)/amp
         j_ph = np.array([-a2, a1]) / amplitude**2
         j_am = np.array([a1, a2]) / amplitude

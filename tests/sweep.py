@@ -21,6 +21,9 @@ code differ.  The runs:
   efficiency 0.05-1, dark rate up to 30/s, a phase offset) x {``phase-scan``,
   ``estimate-k``, ``phase-of-k``, ``qpt``}: weak-signal ``qpt`` is where linear
   inversion is most often unphysical;
+- two sub-normal-count profiles (efficiency 1e-300, phase offset 0 and 0.2) x
+  the five experiments, ``--exact-probabilities``: expected counts near
+  1e-296, whose fringe amplitude squared underflows to 0;
 - malformed config files, each of which should exit 2;
 - the README config x the five experiments, ``--exact-probabilities``, into
   an output directory that holds a directory named ``report.json``,
@@ -68,6 +71,7 @@ WORKLOAD_SEEDS = (3, 4)
 WORKLOAD_OPS = 100
 N_WEAK = 300
 WEAK_EXPERIMENTS = ("phase-scan", "estimate-k", "phase-of-k", "qpt")
+SUBNORMAL_OFFSETS = (0.0, 0.2)
 OUTPUT_FILES = ("report.json", "counts.csv", "chi.json")
 
 
@@ -122,6 +126,13 @@ def runs(tmp: Path, out: Path):
         path.write_text(json.dumps(_weak_config(rng)))
         for experiment in WEAK_EXPERIMENTS:
             yield f"weak:{i:03d}:{experiment}", [experiment, "--config", str(path), *output]
+    for offset in SUBNORMAL_OFFSETS:
+        path = tmp / f"subnormal-{offset}.json"
+        path.write_text(json.dumps({"noise": {"detector": {"efficiency": 1e-300},
+                                              "phase_offset_error": offset}}))
+        for experiment in EXPERIMENTS:
+            yield f"subnormal:{offset}:{experiment}", [experiment, "--config", str(path),
+                                                       "--exact-probabilities", *output]
     for name, data in _bad_configs().items():
         path = tmp / f"bad-{name}.json"
         path.write_bytes(data)

@@ -354,6 +354,20 @@ def test_json_format_writes_records_to_report_only(tmp_path, capsys):
         for setting, phi, port, duration, counts in (row.split(",") for row in rows)]
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.2], ids=["no-offset", "offset"])
+@pytest.mark.parametrize("experiment", ["phase-scan", "case-compare", "qpt", "estimate-k",
+                                        "phase-of-k"])
+def test_exact_subnormal_counts_run_quietly(tmp_path, capsys, experiment, offset):
+    # efficiency 1e-300 gives expected counts near 1e-296, whose fringe
+    # amplitude squared underflows to 0: the fits run without a numpy warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"detector": {"efficiency": 1e-300},
+                                         "phase_offset_error": offset}}))
+    code, _, err = run_cli([experiment, "--config", str(cfg), "--exact-probabilities",
+                            "--output", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+
+
 def test_experiment_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noise": {"visibility": 0.0,

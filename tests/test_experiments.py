@@ -492,7 +492,7 @@ def test_json_text_is_indent2_sorted_dumps(value):
 @given(_PROFILES, st.dictionaries(st.sampled_from(["n_points", "visibility", "extra"]),
                                   st.integers(), max_size=2))
 def test_profile_echo_is_asdict(noise, extra):
-    echo = experiments._profile_echo(noise, **extra)
+    echo = experiments._report("echo", noise, [], [], {}, **extra).inputs
     before = asdict(noise)
     expected = {**before, **extra}
     assert echo == expected and list(echo) == list(expected)

@@ -8,7 +8,8 @@ Sampled qpt's digest does not pin the maximum-likelihood fit: for the
 README config all four QPT inputs have a physical linear-inversion state,
 which qst_mle returns unchanged. The projected path (a Bloch vector outside the unit
 ball) is pinned by the states of PROJECTED_MLE_STATES, and end to end by
-the digest of sampled qpt --ideal on the README config.
+the digest of sampled qpt --ideal on the README config.  The same runs
+also pin which errors each report names (``ERR_KEYS``).
 calibrate-noise is left out because it runs hundreds of QPTs. The sampled
 digests also pin numpy's vector Generator.poisson stream: a record set's
 counts are one default_rng(seed).poisson(means) call. Recorded with
@@ -84,12 +85,18 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _digests(tmp_path, argv, names=("report.json", "counts.csv")):
-    """sha256 of each named output of the CLI run argv on the README config."""
+def _run(tmp_path, argv):
+    """The output directory of the CLI run argv on the README config."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(README_CONFIG))
     out = tmp_path / "out"
     assert main(argv + ["--config", str(cfg), "--output", str(out)]) == 0
+    return out
+
+
+def _digests(tmp_path, argv, names=("report.json", "counts.csv")):
+    """sha256 of each named output of the CLI run argv on the README config."""
+    out = _run(tmp_path, argv)
     return tuple(_sha(out / name) for name in names)
 
 
@@ -104,6 +111,27 @@ def _chi_argv(flag):
 @pytest.mark.parametrize("experiment,exact", sorted(GOLDEN))
 def test_golden_outputs(tmp_path, experiment, exact):
     assert _digests(tmp_path, _argv(experiment, exact)) == GOLDEN[experiment, exact]
+
+
+# each experiment's shot-noise errors, the derived keys named `_err`: a sampled
+# report holds exactly these, an exact one none.  estimate-k's `stderr` is the
+# one error not named `_err`, so both modes report it
+ERR_KEYS = {
+    "phase-scan": {"phi0_err", "d1_fringe_visibility_err", "d2_fringe_visibility_err"},
+    "case-compare": {"case_I_D1_err", "case_I_D2_err", "case_II_D1_err", "case_II_D2_err"},
+    "qpt": set(),
+    "estimate-k": set(),
+    "phase-of-k": {"arg_k_err"},
+}
+
+
+@pytest.mark.parametrize("experiment,exact", sorted(GOLDEN))
+def test_readme_config_error_keys(tmp_path, experiment, exact):
+    report = json.loads((_run(tmp_path, _argv(experiment, exact)) / "report.json").read_text())
+    derived = report["derived"]
+    assert {key for key in derived if key.endswith("_err")} == (
+        set() if exact else ERR_KEYS[experiment])
+    assert ("stderr" in derived) == (experiment == "estimate-k")
 
 
 def test_golden_qpt_ideal_projected_mle(tmp_path):

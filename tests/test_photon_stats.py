@@ -130,6 +130,15 @@ def test_fit_sinusoid_phase_recovery():
     assert fit.fringe_visibility == pytest.approx(0.5, abs=1e-6)
 
 
+def test_fit_sinusoid_underflowing_amplitude():
+    # amplitude**2 underflows to 0 below about 1e-162: the fit still finds the
+    # phase, and reports its error as unknown, without a numpy warning
+    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
+    fit = fit_sinusoid(phis, 1e-170 * (1 + np.cos(phis - 0.3)))
+    assert fit.phase == pytest.approx(0.3, abs=1e-12)
+    assert fit.phase_stderr == math.inf
+
+
 def test_fit_sinusoid_flat_data():
     phis = np.linspace(0, 2 * math.pi, 20)
     fit = fit_sinusoid(phis, np.full_like(phis, 500.0))
