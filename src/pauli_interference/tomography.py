@@ -12,7 +12,9 @@ PRA 64, 052312 (2001)).
 
 Process tomography expresses a single-qubit channel as
 E(rho) = sum_mn chi_mn E_m rho E_n^dag in the fixed operator basis
-(I, sigma_x, sigma_y, sigma_z).
+(I, sigma_x, sigma_y, sigma_z).  chi is one constant linear map of the
+Pauli transfer matrix R_ij = tr(E_i E(E_j))/2 (Greenbaum, arXiv:1509.02921;
+Chuang and Nielsen, J. Mod. Opt. 44, 2455 (1997)).
 """
 
 from __future__ import annotations
@@ -213,16 +215,13 @@ def chi_of_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.outer(c, c.conj())
 
 
-# The chi system maps chi to the images of the matrix units |i><j|, stacked
-# in (i, j) order: column 4m+n holds E_m |i><j| E_n^dag.  Its entries are 0,
-# +-1 and +-i, and it has full rank, so it is built and trusted once.
-_CHI_SYSTEM = np.array([np.concatenate([(e_m @ np.outer(IDENTITY[i], IDENTITY[j])
-                                         @ e_n.conj().T).reshape(4)
-                                        for i in range(2) for j in range(2)])
-                        for e_m in PAULI_BASIS for e_n in PAULI_BASIS]).T
-# E_n^dag E_m, m-major: the order of the trace-preservation sum fixes its last bits
-_TP_PRODUCTS = tuple((m, n, PAULI_BASIS[n].conj().T @ PAULI_BASIS[m])
-                     for m in range(4) for n in range(4))
+# E(E_j) from the outputs rho_l of H, V, D, R: E(I) = rho_H + rho_V,
+# E(X) = 2 rho_D - E(I), E(Y) = E(I) - 2 rho_R (R is sigma_y's -1 eigenstate)
+# and E(Z) = rho_H - rho_V, halved so that tr(E_i rho_l) @ _PTM_INPUTS is R
+_PTM_INPUTS = 0.5 * np.array([[1, -1, 1, 1], [1, -1, 1, -1], [0, 2, 0, 0], [0, 0, -2, 0]])
+_PAULI_STACK = np.array(PAULI_BASIS)
+# chi_mn = sum_ij R_ij tr(E_m E_i E_n E_j) / 8: 64 nonzero entries, each +-1/4 or +-i/4
+_PTM_TO_CHI = np.einsum("mab,ibc,ncd,jda->ijmn", *[_PAULI_STACK] * 4) / 8
 
 
 @dataclass(frozen=True)
@@ -235,25 +234,20 @@ class ChiResult:
 def qpt_reconstruct(outputs: dict[str, np.ndarray]) -> ChiResult:
     """Single-qubit chi matrix from the channel outputs of the H, V, D, R inputs.
 
-    The channel's action on the matrix units |i><j| is assembled by
-    linearity (|H><V| = rho_D - i rho_R - (1-i)/2 (rho_H + rho_V)), then
-    chi is solved from the 16x16 linear system relating the matrix-unit
-    images to the operator-basis expansion.  The result is Hermitized;
-    PSD and trace-preservation deviations are reported, not enforced.
+    R = Re tr(E_i rho_l) @ _PTM_INPUTS and chi is linear in R, so an output
+    enters by its Hermitian part only and chi is Hermitian to the bit.  The
+    deviations are reported, not enforced; trace preservation's is read off
+    R's first row, as sum_mn chi_mn E_n^dag E_m = sum_j R_0j E_j.
     """
     missing = [l for l in QPT_INPUT_LABELS if l not in outputs]
     if missing:
         raise ValueError(f"missing QPT inputs: {missing}")
-    oh, ov, od, orr = (np.asarray(outputs[l], complex) for l in QPT_INPUT_LABELS)
-    e_hv = od - 1j * orr - 0.5 * (1 - 1j) * (oh + ov)
-    target = np.concatenate([m.reshape(4) for m in (oh, e_hv, e_hv.conj().T, ov)])
-    chi = np.linalg.solve(_CHI_SYSTEM, target).reshape(4, 4)
-    chi = 0.5 * (chi + chi.conj().T)
-
-    psd_dev = float(max(0.0, -np.linalg.eigvalsh(chi).min()))
-    tp = sum(chi[m, n] * product for m, n, product in _TP_PRODUCTS)
-    tp_dev = float(np.abs(tp - IDENTITY).max())
-    return ChiResult(chi=chi, psd_deviation=psd_dev, trace_preservation_deviation=tp_dev)
+    rhos = np.array([outputs[l] for l in QPT_INPUT_LABELS], dtype=complex)
+    ptm = np.einsum("iab,lba->il", _PAULI_STACK, rhos).real @ _PTM_INPUTS
+    chi = np.einsum("ij,ijmn->mn", ptm, _PTM_TO_CHI)
+    tp = np.einsum("j,jab->ab", ptm[0], _PAULI_STACK) - IDENTITY
+    return ChiResult(chi=chi, psd_deviation=float(max(0.0, -np.linalg.eigvalsh(chi).min())),
+                     trace_preservation_deviation=float(np.abs(tp).max()))
 
 
 def process_fidelity(chi_exp: np.ndarray, chi_ideal: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Test helpers: matrix and state checks, state distances, the Born
 probabilities of the six tomography settings, the Poissonian -log L
-oracle of tomography, evaluated at a density matrix, and the references for
-a report's two writers: the dict ``report.json`` dumps and the csv module's
+oracle of tomography, evaluated at a density matrix, the matrix-unit
+reference for process tomography, and the references for a report's two
+writers: the dict ``report.json`` dumps and the csv module's
 text of its counts."""
 
 import csv
@@ -9,8 +10,9 @@ import io
 
 import numpy as np
 
-from pauli_interference.qubit import DEFAULT_TOL, PureState
-from pauli_interference.tomography import mle_negative_log_likelihood, tomography_settings
+from pauli_interference.qubit import DEFAULT_TOL, IDENTITY, PAULI_BASIS, PureState
+from pauli_interference.tomography import (QPT_INPUT_LABELS, ChiResult,
+                                           mle_negative_log_likelihood, tomography_settings)
 
 _SETTINGS = tomography_settings()
 PROJECTORS = {s.label: s.projector for s in _SETTINGS}
@@ -72,6 +74,31 @@ def factor_params(rho):
 def oracle_nll(rho, counts):
     return mle_negative_log_likelihood(factor_params(rho), counts, pair_totals(counts),
                                        PROJECTORS)[0]
+
+
+# The chi system maps chi to the images of the matrix units |i><j|, stacked
+# in (i, j) order: column 4m+n holds E_m |i><j| E_n^dag
+_CHI_SYSTEM = np.array([np.concatenate([(e_m @ np.outer(IDENTITY[i], IDENTITY[j])
+                                         @ e_n.conj().T).reshape(4)
+                                        for i in range(2) for j in range(2)])
+                        for e_m in PAULI_BASIS for e_n in PAULI_BASIS]).T
+
+
+def qpt_reconstruct_reference(outputs) -> ChiResult:
+    """The reference for ``qpt_reconstruct``: the channel's images of the
+    matrix units |i><j|, assembled by linearity
+    (|H><V| = rho_D - i rho_R - (1-i)/2 (rho_H + rho_V)), solved for chi from
+    the 16x16 system, then Hermitized; the trace-preservation deviation is
+    the 16-term sum of chi_mn E_n^dag E_m."""
+    oh, ov, od, orr = (np.asarray(outputs[l], complex) for l in QPT_INPUT_LABELS)
+    e_hv = od - 1j * orr - 0.5 * (1 - 1j) * (oh + ov)
+    target = np.concatenate([m.reshape(4) for m in (oh, e_hv, e_hv.conj().T, ov)])
+    chi = np.linalg.solve(_CHI_SYSTEM, target).reshape(4, 4)
+    chi = 0.5 * (chi + chi.conj().T)
+    tp = sum(chi[m, n] * PAULI_BASIS[n].conj().T @ PAULI_BASIS[m]
+             for m in range(4) for n in range(4))
+    return ChiResult(chi=chi, psd_deviation=float(max(0.0, -np.linalg.eigvalsh(chi).min())),
+                     trace_preservation_deviation=float(np.abs(tp - IDENTITY).max()))
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

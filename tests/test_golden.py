@@ -58,9 +58,9 @@ GOLDEN = {
                             "6c4be57e849117e1b7e2a4fd5e8ce3887aaa5cbc33caa2656a6cd06d019dc3cd"),
     ("phase-of-k", True): ("9c28b214f4b9519eb6d9e1a70ac7201c35d63510ca02b18599e721e6c741589b",
                            "379a1ca7478c594c31fbea7a6bc62daa62f22722438ab8f8988a322ac17fc6ef"),
-    ("qpt", False): ("cb034c359c7322eba004289024ec1ad107b3ffa660f8ee27b803e6a69e2261f7",
+    ("qpt", False): ("b94ceb08119e7fd6a6bb7fc230d9637e3ae42b694383f87558b1c28d67c43127",
                      "c9a0ad9bee81cf2819907eed613a22fce3a3ac8d2ba11ce30384b00499be35e9"),
-    ("qpt", True): ("3ba31926a6486ad8599a4a695a271358d3174b5840ac9d4057257d4465a28d4a",
+    ("qpt", True): ("3883f1df262718b31a57dc70073ff522cd9ce6c555373626fac3b11f72243f07",
                     "155dca3655028513d5192e21b9190fe2796055cc3d6a79c7b8cc2ad8a8e8048b"),
 }
 
@@ -68,16 +68,16 @@ GOLDEN = {
 # maximum-likelihood path (9 multiplier steps each). Its chi is not PSD
 # (psd_deviation 0.001), so this digest moves on purpose once the estimator
 # returns a physical chi by construction (ROADMAP item 1).
-GOLDEN_QPT_IDEAL = ("55215f6e923435d2551e037886569b1e4d58bb5984afd561282c773c2a51e824",
+GOLDEN_QPT_IDEAL = ("08b687798ad975150fae19ace78aaa6a893ddbd990bdef56882ec6b9c3bbf0b4",
                     "d269eee259c21f8d89294cc4cc0190b9790aefb99d020a2c90cbbbd5e75d9113")
 
 # sha256 of qpt's chi.json on the README config, keyed by the extra flag:
 # sampled, exact, and sampled --ideal. The --ideal digest moves with
 # GOLDEN_QPT_IDEAL's when chi becomes physical by construction (ROADMAP item 1).
 GOLDEN_CHI = {
-    None: "56c13b2fe88a9dedcc80150bae0ac87dde8578ff785ab066a34031d1035f9721",
-    "--exact-probabilities": "af4652e091521932fc83b9cef83d6525f3d53af76183d685ae8347bd73328dc3",
-    "--ideal": "037c04a1b13c9b3c741c1ea4800235998f16806850be24ad35a1be8085dbbebc",
+    None: "a8a11fbe0014011758fc01017f9f6431722cc49b39abf22a200509bab69fbafd",
+    "--exact-probabilities": "4836a18100897b78b24983f6cb7d0e8632036d024c9fca6985da98df0135610b",
+    "--ideal": "a7ad13f8eee30767dd7a40a52dc84f0d76377180069e9c1e585fd8c682f5ae0a",
 }
 
 

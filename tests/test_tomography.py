@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from oracle import (PAIRS, PROJECTORS, factor_params, oracle_nll, pair_totals,
-                    setting_probabilities, trace_distance)
+                    qpt_reconstruct_reference, setting_probabilities, trace_distance)
 from pauli_interference.errors import EmptyData, NotUnitary
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_D,
                                       STATE_H, STATE_R)
@@ -241,6 +241,51 @@ def test_qpt_missing_input():
     del outs["R"]
     with pytest.raises(ValueError):
         qpt_reconstruct(outs)
+
+
+def _random_hermitian(rng, unit_trace):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = z + z.conj().T
+    return h / np.trace(h).real if unit_trace else h
+
+
+@pytest.mark.parametrize("unit_trace", [True, False])
+def test_qpt_matches_matrix_unit_reference(unit_trace):
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        outs = {l: _random_hermitian(rng, unit_trace) for l in QPT_INPUT_LABELS}
+        res, ref = qpt_reconstruct(outs), qpt_reconstruct_reference(outs)
+        tol = 1e-14 * max(1.0, np.abs(ref.chi).max())
+        assert np.abs(res.chi - ref.chi).max() <= tol
+        assert abs(res.psd_deviation - ref.psd_deviation) <= tol
+        assert abs(res.trace_preservation_deviation - ref.trace_preservation_deviation) <= tol
+        assert np.array_equal(res.chi, res.chi.conj().T)
+
+
+def test_qpt_trace_preservation_deviation():
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        u = haar_unitary(rng)
+        for c in (0.5, 0.9, 1.3):
+            outs = {l: c * rho for l, rho in _unitary_outputs(u).items()}
+            dev = qpt_reconstruct(outs).trace_preservation_deviation
+            assert abs(dev - abs(c - 1.0)) <= 4e-15
+        # unit-trace linear-inversion states trace-preserve to the bit
+        outs = {l: qst_linear({k: rng.uniform(0, 1000) for k in SETTING_LABELS}).rho
+                for l in QPT_INPUT_LABELS}
+        assert qpt_reconstruct(outs).trace_preservation_deviation == 0.0
+
+
+def test_qpt_fidelity_is_linear_in_bloch_components():
+    # F = tr(chi chi_sigma_y) = chi_YY = 1/4 + g.s, s the outputs' Bloch
+    # components in input order H, V, D, R
+    g = np.array([1, 1, -1, 1, 1, 1, -2, 0, 0, 0, -2, 0]) / 8
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        s = rng.uniform(-1, 1, size=(4, 3))
+        outs = {l: 0.5 * (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+                for l, (x, y, z) in zip(QPT_INPUT_LABELS, s)}
+        assert abs(qpt_reconstruct(outs).chi[2, 2].real - (0.25 + g @ s.ravel())) <= 1e-15
 
 
 def test_chi_of_unitary_examples():
