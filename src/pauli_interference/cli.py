@@ -13,15 +13,23 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import errors
-from .experiments import (NoiseProfile, calibrate_angle_noise, estimate_k_magnitude,
-                          json_text, run_case_comparison, run_commutator_qpt,
+from .experiments import (ExperimentReport, NoiseProfile, estimate_k_magnitude, json_text,
+                          run_case_comparison, run_commutator_qpt, run_noise_calibration,
                           run_phase_of_k, run_phase_scan)
 from .optics import half_wave, prepare_state, quarter_wave
 from .photon_stats import DetectorModel, SourceModel
 from .qubit import STATE_V
 
-EXPERIMENTS = ("phase-scan", "case-compare", "qpt", "estimate-k", "phase-of-k",
-               "calibrate-noise")
+# each experiment's runner, called as runner(noise, psi0); a lambda looks its
+# function up on this module when it runs, so a name patched here is the one called
+RUNNERS = {
+    "phase-scan": lambda noise, psi0: run_phase_scan(noise, psi0=psi0),
+    "case-compare": lambda noise, psi0: run_case_comparison(noise, psi0=psi0),
+    "qpt": lambda noise, psi0: run_commutator_qpt(noise),
+    "estimate-k": lambda noise, psi0: estimate_k_magnitude(noise, psi0=psi0),
+    "phase-of-k": lambda noise, psi0: run_phase_of_k(noise, psi0=psi0),
+    "calibrate-noise": lambda noise, psi0: run_noise_calibration(noise),
+}
 
 
 class ConfigError(Exception):
@@ -32,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pauli-interference",
         description="Simulated interferometric measurement of Pauli commutation relations.")
-    p.add_argument("experiment", nargs="?", choices=EXPERIMENTS,
+    p.add_argument("experiment", nargs="?", choices=RUNNERS,
                    help="experiment to run (alternative to --experiment)")
-    p.add_argument("--experiment", dest="experiment_flag", choices=EXPERIMENTS)
+    p.add_argument("--experiment", dest="experiment_flag", choices=RUNNERS)
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--ideal", action="store_true",
@@ -112,8 +120,9 @@ def _fmt(v) -> str:
     return f"{v:.4f}" if isinstance(v, float) else str(v)
 
 
-def print_summary(name: str, derived: dict) -> None:
-    print(f"== {name} ==")
+def print_summary(report: ExperimentReport) -> None:
+    derived = report.derived
+    print(f"== {report.experiment_id} ==")
     for key in sorted(derived):
         if key.endswith("_err") or key == "chi":
             continue
@@ -151,29 +160,13 @@ def run(args) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
 
-    if experiment == "calibrate-noise":
-        cal = calibrate_angle_noise(noise)
-        derived = {"waveplate_angle_sigma": cal.waveplate_angle_sigma,
-                   "mean_fidelity": cal.mean_fidelity, "n_seeds": cal.n_seeds}
-        _write(out_dir / "report.json", json_text(derived))
-        print_summary(experiment, derived)
-        return 0
-
-    runner = {
-        "phase-scan": lambda: run_phase_scan(noise, psi0=psi0),
-        "case-compare": lambda: run_case_comparison(noise, psi0=psi0),
-        "qpt": lambda: run_commutator_qpt(noise),
-        "estimate-k": lambda: estimate_k_magnitude(noise, psi0=psi0),
-        "phase-of-k": lambda: run_phase_of_k(noise, psi0=psi0),
-    }[experiment]
-    report = runner()
-
+    report = RUNNERS[experiment](noise, psi0)
     _write(out_dir / "report.json", report.to_json())
     if args.format == "csv":
         _write(out_dir / "counts.csv", report.counts_csv())
     if "chi" in report.derived:
         _write(out_dir / "chi.json", json_text(report.derived["chi"]))
-    print_summary(experiment, report.derived)
+    print_summary(report)
     return 0
 
 

@@ -23,12 +23,9 @@ class CalibrationFailed(ExperimentError, RuntimeError):
 
 class EmptyData(ExperimentError, ValueError):
     """A tomography basis pair or a case-compare case has zero total counts, or
-    estimate-k's open-path count is zero once its dark counts are subtracted."""
+    estimate-k's open-path or blocked-path count is zero once its dark counts
+    are subtracted."""
 
 
 class NotUnitary(ExperimentError, ValueError):
     """A matrix expected to be unitary is not, within tolerance."""
-
-
-class ZeroDenominator(ExperimentError, ZeroDivisionError):
-    """The blocked-path count rates sum to zero; the ratio estimate is undefined."""

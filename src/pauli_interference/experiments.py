@@ -30,12 +30,12 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import CalibrationFailed, DegenerateScan, EmptyData, ZeroDenominator
+from .errors import CalibrationFailed, DegenerateScan, EmptyData
 from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
                      interference_probability, port_operator,
                      # both unused here: perfbench/tracing.py wraps them
@@ -383,8 +383,8 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     counts are comparable to the signal (about 2.8x at dark rate 2000/s
     against pair rate 1000/s).  ``stderr`` is the one error not named ``_err``:
     an exact run reports it too, from expected counts, and the CLI prints it
-    on its own line, with no +/-.  Open counts that are all dark raise
-    EmptyData rather than claim |k| = 0 with no error.
+    on its own line, with no +/-.  Open or blocked counts that are all dark
+    raise EmptyData rather than claim |k| = 0 or an infinite |k|.
     """
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "estimate-k", phi0)
@@ -400,7 +400,7 @@ def estimate_k_magnitude(noise: NoiseProfile, psi0: PureState = STATE_V) -> Expe
     n_open = corrected["open"]
     n_split = corrected["block-transmitted"] + corrected["block-reflected"]
     if n_split <= 0:
-        raise ZeroDenominator("blocked-path counts sum to zero")
+        raise EmptyData("blocked-path counts are zero after dark subtraction")
     if n_open <= 0:
         raise EmptyData("open-path counts are zero after dark subtraction")
     k_abs = n_open / n_split
@@ -489,3 +489,8 @@ def calibrate_angle_noise(noise: NoiseProfile | None = None,
         else:
             hi = mid
     raise CalibrationFailed("angle-noise calibration did not land in the fidelity window")
+
+
+def run_noise_calibration(noise: NoiseProfile) -> ExperimentReport:
+    """``calibrate_angle_noise`` as a run: its result is derived, with no count records."""
+    return _report("calibrate-noise", noise, [], [], asdict(calibrate_angle_noise(noise)))

@@ -16,6 +16,8 @@ code differ.  The runs:
   ``--exact-probabilities``, ``--ideal``, both};
 - the README config with an integer ``integration_time`` of 2 x the five
   experiments x {sampled, ``--exact-probabilities``, ``--format json``};
+- ``calibrate-noise`` on the README config x {sampled, ``--exact-probabilities``,
+  ``--format json``}, and on the default profile;
 - the first 100 ops of each ``perfbench`` workload at seeds 3 and 4;
 - 300 seeded weak-fringe profiles (pair rate 3-300/s, visibility in [0, 1],
   efficiency 0.05-1, dark rate up to 30/s, a phase offset) x {``phase-scan``,
@@ -115,6 +117,10 @@ def runs(tmp: Path, out: Path):
         for mode, flags in INT_TIME_MODES.items():
             yield f"readme-int-time:{experiment}:{mode}", [experiment, "--config",
                                                            str(readme_int), *flags, *output]
+    for mode, flags in INT_TIME_MODES.items():
+        yield f"calibrate:readme:{mode}", ["calibrate-noise", "--config", str(readme),
+                                           *flags, *output]
+    yield "calibrate:default:sampled", ["calibrate-noise", *output]
     for workload in ("fringe", "qpt-mc", "exact"):
         for seed in WORKLOAD_SEEDS:
             ops = generate(workload, seed, tmp / f"{workload}-{seed}", n_ops=WORKLOAD_OPS)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,18 @@ def test_estimate_k_on_dark_counts_alone_is_empty_data(tmp_path, capsys):
     assert err.startswith("experiment error (EmptyData)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_estimate_k_without_photons_is_empty_data(tmp_path, capsys, exact):
+    # no detection and no dark counts: the blocked-path counts are zero, so
+    # the ratio |k| = N / (N_u + N_l) has no denominator
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"detector": {"efficiency": 0.0}}}))
+    argv = ["estimate-k", "--config", str(cfg), "--output", str(tmp_path)]
+    code, _, err = run_cli(argv + ["--exact-probabilities"] * exact, capsys)
+    assert code == 3
+    assert err.startswith("experiment error (EmptyData)") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("experiment,noise,exact", [
     ("phase-scan", {"detector": {"efficiency": 0.0}}, False),
     ("phase-scan", {"detector": {"efficiency": 0.0}}, True),
@@ -297,13 +310,16 @@ def test_calibrate_noise_report_is_json_dumps_text(tmp_path, capsys, monkeypatch
     assert code == 0
     derived = {"waveplate_angle_sigma": 0.05, "mean_fidelity": 0.9312345678901234,
                "n_seeds": 50}
-    assert (tmp_path / "report.json").read_text() == json.dumps(derived, indent=2,
+    report = {"derived": derived, "experiment_id": "calibrate-noise",
+              "inputs": asdict(experiments.NoiseProfile()), "records": []}
+    assert (tmp_path / "report.json").read_text() == json.dumps(report, indent=2,
                                                                 sort_keys=True)
+    assert (tmp_path / "counts.csv").read_text() == "setting,phi,port,duration,counts\n"
 
 
 @pytest.mark.parametrize("experiment, blocked", [
     ("phase-scan", "report.json"), ("phase-scan", "counts.csv"), ("qpt", "chi.json"),
-    ("calibrate-noise", "report.json")])
+    ("calibrate-noise", "report.json"), ("calibrate-noise", "counts.csv")])
 def test_unwritable_output_file_is_config_error(tmp_path, capsys, monkeypatch, experiment,
                                                 blocked):
     # a directory where an output file goes: exit 2 with one line, no traceback;

@@ -10,7 +10,8 @@ which qst_mle returns unchanged. The projected path (a Bloch vector outside the 
 ball) is pinned by the states of PROJECTED_MLE_STATES, and end to end by
 the digest of sampled qpt --ideal on the README config.  The same runs
 also pin which errors each report names (``ERR_KEYS``).
-calibrate-noise is left out because it runs hundreds of QPTs. The sampled
+calibrate-noise runs hundreds of QPTs, so only its exact mode is pinned
+(``GOLDEN_CALIBRATE``): about 0.25 s, with no fidelity clamped. The sampled
 digests also pin numpy's vector Generator.poisson stream: a record set's
 counts are one default_rng(seed).poisson(means) call. Recorded with
 Python 3.11, numpy 2.4 on x86-64; another numpy/BLAS build may move the last
@@ -70,6 +71,11 @@ GOLDEN = {
 # returns a physical chi by construction (ROADMAP item 1).
 GOLDEN_QPT_IDEAL = ("08b687798ad975150fae19ace78aaa6a893ddbd990bdef56882ec6b9c3bbf0b4",
                     "d269eee259c21f8d89294cc4cc0190b9790aefb99d020a2c90cbbbd5e75d9113")
+
+# calibrate-noise --exact-probabilities on the README config: (sha256 of
+# report.json, sha256 of counts.csv, which is the header alone)
+GOLDEN_CALIBRATE = ("1bc28f1539222b305b7dec128577faf65a827c4cdb6adc0ba123cec149b83cb3",
+                    "af7af5b13c9339691b6e8dea0b63a65a53984044ca2a5c1659df02fc9b00a58e")
 
 # sha256 of qpt's chi.json on the README config, keyed by the extra flag:
 # sampled, exact, and sampled --ideal. The --ideal digest moves with
@@ -136,6 +142,10 @@ def test_readme_config_error_keys(tmp_path, experiment, exact):
 
 def test_golden_qpt_ideal_projected_mle(tmp_path):
     assert _digests(tmp_path, ["qpt", "--ideal"]) == GOLDEN_QPT_IDEAL
+
+
+def test_golden_calibrate_noise(tmp_path):
+    assert _digests(tmp_path, ["calibrate-noise", "--exact-probabilities"]) == GOLDEN_CALIBRATE
 
 
 @pytest.mark.parametrize("flag", list(GOLDEN_CHI), ids=["sampled", "exact", "ideal"])
@@ -220,7 +230,7 @@ def test_projected_mle_states(counts, rho):
 
 
 def _print_current_digests():
-    """Print GOLDEN, GOLDEN_QPT_IDEAL and GOLDEN_CHI as the code under test
+    """Print GOLDEN, GOLDEN_QPT_IDEAL, GOLDEN_CALIBRATE and GOLDEN_CHI as the code under test
     makes them, in this file's syntax, for re-recording a digest on purpose."""
     import contextlib
     import io
@@ -236,9 +246,12 @@ def _print_current_digests():
         head = f'    ("{experiment}", {exact}): ('
         report, csv = digests(_argv(experiment, exact))
         lines += [f'{head}"{report}",', f'{" " * len(head)}"{csv}"),']
-    head = "GOLDEN_QPT_IDEAL = ("
-    report, csv = digests(["qpt", "--ideal"])
-    lines += ["}", "", f'{head}"{report}",', f'{" " * len(head)}"{csv}")', "", "GOLDEN_CHI = {"]
+    lines.append("}")
+    for head, argv in (("GOLDEN_QPT_IDEAL = (", ["qpt", "--ideal"]),
+                       ("GOLDEN_CALIBRATE = (", ["calibrate-noise", "--exact-probabilities"])):
+        report, csv = digests(argv)
+        lines += ["", f'{head}"{report}",', f'{" " * len(head)}"{csv}")']
+    lines += ["", "GOLDEN_CHI = {"]
     for flag in GOLDEN_CHI:
         key = "None" if flag is None else f'"{flag}"'
         lines.append(f'    {key}: "{digests(_chi_argv(flag), ("chi.json",))[0]}",')

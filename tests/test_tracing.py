@@ -38,3 +38,21 @@ def test_tracer_sees_the_calibration_scan(monkeypatch):
     assert calls["photon_stats.sample_counts"] == 2  # the scan, then both cases
     assert calls["photon_stats.derive_seed"] == 2  # one seed per record set
     assert calls["photon_stats.fit_sinusoid"] == 2
+
+
+
+def test_tracer_sees_cli_entry_points(monkeypatch, tmp_path):
+    # the CLI must call each experiment through the name the tracer wraps on
+    # cli, so that every op records its one entry span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    entry_spans = {f"experiments.{fn}" for fn in tracing.ENTRY_POINTS}
+    for name, runner in (("phase-scan", "run_phase_scan"),
+                         ("case-compare", "run_case_comparison"),
+                         ("qpt", "run_commutator_qpt"), ("estimate-k", "estimate_k_magnitude"),
+                         ("phase-of-k", "run_phase_of_k")):
+        with tracing.Tracer().installed(pauli_interference) as tracer:
+            assert cli.main([name, "--exact-probabilities", "--output", str(tmp_path)]) == 0
+        calls = Counter(span for span, *_ in tracer.spans if span in entry_spans)
+        assert calls == {f"experiments.{runner}": 1}, name
