@@ -122,14 +122,15 @@ def _fmt(v) -> str:
 
 def print_summary(report: ExperimentReport) -> None:
     derived = report.derived
-    print(f"== {report.experiment_id} ==")
+    lines = [f"== {report.experiment_id} =="]
     for key in sorted(derived):
         if key.endswith("_err") or key == "chi":
             continue
         line = f"  {key:32s} {_fmt(derived[key])}"
         if key + "_err" in derived:
             line += f" +/- {derived[key + '_err']:.4f}"
-        print(line)
+        lines.append(line)
+    print("\n".join(lines))
 
 
 def _write(path: Path, text: str) -> None:

@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import CalibrationFailed, DegenerateScan, EmptyData
-from .optics import (InterferometerConfig, Port, arm_operators, case_i, case_ii,
+from .optics import (InterferometerConfig, Port, WavePlate, arm_operators, case_i, case_ii,
                      interference_probability, port_operator,
                      # both unused here: perfbench/tracing.py wraps them
                      conditional_output_state, detection_probability)
@@ -57,6 +57,7 @@ MAX_MEAN_COUNTS = 1.0e18
 # QPT's six analyzer settings in the label order (A, D, H, L, R, V) it records and draws
 _QPT_SETTINGS = sorted(tomography_settings(), key=lambda s: s.label)
 _ANALYZERS = np.array([s.projector for s in _QPT_SETTINGS])
+_QPT_INPUTS = np.array([QPT_INPUT_STATES[label].vector for label in QPT_INPUT_LABELS])  # (4, 2)
 # the process matrix every QPT run is scored against
 _CHI_SIGMA_Y = chi_of_unitary(SIGMA_Y)
 _CHI_SIGMA_Y.flags.writeable = False
@@ -102,6 +103,14 @@ class NoiseProfile:
         return cls(exact_probabilities=True)
 
 
+class _RenderOnce(dict):
+    """A dict ``json_text`` renders once, on first use, and re-indents at every later use."""
+
+    @functools.cached_property
+    def text(self) -> str:
+        return json_text(dict(self))
+
+
 def json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, nested at ``indent``.
 
@@ -118,6 +127,8 @@ def json_text(value, indent: str = "") -> str:
         return int.__repr__(value)
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
+    if type(value) is _RenderOnce:
+        return value.text.replace("\n", "\n" + indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -216,16 +227,15 @@ def _report(experiment_id: str, noise: NoiseProfile, cells, counts, derived: dic
 
 def _apparatus(builder, noise: NoiseProfile, label: str, phi0: float) -> InterferometerConfig:
     """One run's interferometer: ``builder``'s plates with this run's Gaussian angle
-    errors (seeded from ``label``), the mirror at phi0 less the phase offset."""
+    errors (four in one draw, seeded from ``label``), the mirror at phi0 less the offset."""
     cfg = builder(phi=phi0 - noise.phase_offset_error, visibility=noise.visibility)
     if noise.waveplate_angle_sigma == 0.0:
         return cfg
     rng = np.random.default_rng(derive_seed(noise.master_seed, f"plates:{label}"))
-    plates = {}
-    for name in ("sigma1", "sigma2", "sigma3", "sigma4"):
-        wp = getattr(cfg, name)
-        plates[name] = replace(wp, angle=wp.angle + rng.normal(0.0, noise.waveplate_angle_sigma))
-    return replace(cfg, **plates)
+    errors = rng.normal(0.0, noise.waveplate_angle_sigma, 4).tolist()
+    plates = [WavePlate(wp.retardance, wp.angle + e)
+              for wp, e in zip((cfg.sigma1, cfg.sigma2, cfg.sigma3, cfg.sigma4), errors)]
+    return InterferometerConfig(*plates, phi=cfg.phi, visibility=cfg.visibility)
 
 
 def _counts(p, noise: NoiseProfile, set_label: str) -> list:
@@ -344,8 +354,7 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     phi0 = _calibrated_phi0(noise)
     cfg = _apparatus(case_ii, noise, "qpt", phi0)
     a, b = (_ANALYZERS @ arm for arm in arm_operators(cfg))
-    p = [interference_probability(a, b, cfg.phi, cfg.visibility, QPT_INPUT_STATES[label], -1.0)
-         for label in QPT_INPUT_LABELS]
+    p = interference_probability(a, b, cfg.phi, cfg.visibility, _QPT_INPUTS, -1.0)
     cells = [(f"qpt:{label}:{s.label}", phi0, Port.D2)
              for label in QPT_INPUT_LABELS for s in _QPT_SETTINGS]
     counts = _counts(p, noise, "qpt")
@@ -362,7 +371,7 @@ def run_commutator_qpt(noise: NoiseProfile) -> ExperimentReport:
     fid = process_fidelity(result.chi, _CHI_SIGMA_Y)
     derived = {
         "process_fidelity": fid,
-        "chi": chi_to_json(result.chi),
+        "chi": _RenderOnce(chi_to_json(result.chi)),  # in report.json and chi.json
         "psd_deviation": result.psd_deviation,
         "trace_preservation_deviation": result.trace_preservation_deviation,
         "mle_converged": mle_converged,

@@ -140,22 +140,25 @@ def port_operator(cfg: InterferometerConfig, port: Port) -> np.ndarray:
 
 
 def interference_probability(a: np.ndarray, b: np.ndarray, phi: float | np.ndarray,
-                             visibility: float, psi0: PureState,
+                             visibility: float, psi0: PureState | np.ndarray,
                              sign: float = 1.0) -> float | np.ndarray:
     """Click probability behind the beam splitter that recombines arms A and B.
 
     p = (1/4)(|A psi|^2 + |B psi|^2 + sign 2 V Re(e^{i phi} <B psi|A psi>)),
     clamped to [0, 1].  Visibility scales only the cross term.  A call takes
     one arm pair and a scalar or array ``phi`` (a fringe scan in one pass), or
-    (k, 2, 2) stacks of pairs and a scalar ``phi``, not both; p has the shape
+    (n, 2, 2) stacks of pairs and a scalar ``phi``, not both; p has the shape
     of ``phi`` or of the stack, the same bits per pair in either form.
+    ``psi0`` is one state, or a (k, 2) stack of input vectors with a stack of
+    pairs: p is then (k, n), row j the bits of a call on ``psi0[j]``.
     ``sign`` is +1 or -1, or a (k, 1) column of them, which broadcasts against
     a 1-d ``phi`` or an (n, 2, 2) stack: p is then (k, len(phi)) or (k, n), row
-    j the bits of a call with ``sign[j][0]``.  The real part of the cross term
-    is written out: ``(overlap * turn).real`` rounds differently on an array
-    than on a scalar.
+    j the bits of a call with ``sign[j][0]``.  Each vector is multiplied as a
+    column of its own and the real part of the cross term is written out:
+    ``a @ psi0.T`` and ``(overlap * turn).real`` round differently on arrays.
     """
-    av, bv = a @ psi0.vector, b @ psi0.vector
+    v = (psi0.vector if isinstance(psi0, PureState) else psi0[:, None])[..., None]
+    av, bv = (a @ v)[..., 0], (b @ v)[..., 0]
     overlap = np.vecdot(bv, av)
     turn = np.exp(1j * phi)
     cross = overlap.real * turn.real - overlap.imag * turn.imag

@@ -19,6 +19,7 @@ Chuang and Nielsen, J. Mod. Opt. 44, 2455 (1997)).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,9 +67,12 @@ def _bloch_rho(s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearInversionResult:
-    rho: np.ndarray
     bloch: np.ndarray          # (s_x, s_y, s_z)
     physical: bool             # |s|^2 <= 1: the state qst_mle returns as it is
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:  # built when first read
+        return _bloch_rho(self.bloch)
 
 
 def qst_linear(counts: dict[str, float]) -> LinearInversionResult:
@@ -76,8 +80,7 @@ def qst_linear(counts: dict[str, float]) -> LinearInversionResult:
     _check_pairs(counts)
     bloch = np.array([(counts[p] - counts[m]) / (counts[p] + counts[m])
                       for p, m in _STOKES_PAIRS])
-    return LinearInversionResult(rho=_bloch_rho(bloch), bloch=bloch,
-                                 physical=bool(bloch @ bloch <= 1.0))
+    return LinearInversionResult(bloch=bloch, physical=bool(bloch @ bloch <= 1.0))
 
 
 # dT/dx for the upper-triangular factor T = [[x0, x2 + i*x3], [0, x1]]
@@ -158,13 +161,14 @@ def _pair_root(n_plus: float, n_minus: float, mu: float) -> tuple[float, float]:
         n, sign = n_plus + n_minus, (1.0 if n_minus == 0.0 else -1.0)
         r = math.sqrt(1.0 + 2.0 * n / mu)
         return sign * n / (mu * (r + 1.0)), -sign * n / (2.0 * mu * mu * r)
-    slope = lambda s: -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu
     n, d = n_plus + n_minus, n_plus - n_minus
     r = math.sqrt((2.0 * mu + n) / (6.0 * mu))
     c = min(1.0, max(-1.0, -d / (4.0 * mu * r ** 3)))
     s = 2.0 * r * math.cos((math.acos(c) - 2.0 * math.pi) / 3.0)
-    s -= (n_plus / (1.0 + s) - n_minus / (1.0 - s) - 2.0 * mu * s) / slope(s)
-    return s, 2.0 * s / slope(s)
+    slope = -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu
+    s -= (n_plus / (1.0 + s) - n_minus / (1.0 - s) - 2.0 * mu * s) / slope
+    slope = -n_plus / (1.0 + s) ** 2 - n_minus / (1.0 - s) ** 2 - 2.0 * mu
+    return s, 2.0 * s / slope
 
 
 @dataclass(frozen=True)
@@ -185,16 +189,19 @@ def qst_mle(counts: dict[str, float]) -> MleResult:
     each s_k(mu) solves n+/(1+s) - n-/(1-s) = 2 mu s in closed form, the
     multiplier mu > 0 is the root of sum_k s_k(mu)^2 = 1 (bracketed
     Newton/bisection, the only iteration), and the result is renormalized
-    to |s| = 1, a pure state.
+    to |s| = 1, a pure state; the linear-inversion rho is then never built.
     """
     linear = qst_linear(counts)
     if linear.physical:
-        return MleResult(rho=linear.rho, converged=True, iterations=0)
+        return MleResult(rho=_bloch_rho(linear.bloch), converged=True, iterations=0)
     pairs = [(float(counts[p]), float(counts[m])) for p, m in _STOKES_PAIRS]
+    (p0, m0), (p1, m1), (p2, m2) = pairs
 
     def excess(mu):
-        roots = [_pair_root(n_plus, n_minus, mu) for n_plus, n_minus in pairs]
-        return sum(s * s for s, _ in roots) - 1.0, sum(2.0 * s * ds for s, ds in roots)
+        # sums added left to right, as sum() adds floats before Python 3.12
+        (s0, d0), (s1, d1), (s2, d2) = (_pair_root(p0, m0, mu), _pair_root(p1, m1, mu),
+                                        _pair_root(p2, m2, mu))
+        return s0 * s0 + s1 * s1 + s2 * s2 - 1.0, 2.0 * s0 * d0 + 2.0 * s1 * d1 + 2.0 * s2 * d2
 
     # |s_k(mu)| <= N_k / (2 mu), so the excess is <= 0 at the upper end
     mu_hi = 0.5 * math.hypot(*(n_plus + n_minus for n_plus, n_minus in pairs))
@@ -263,7 +270,7 @@ def process_fidelity(chi_exp: np.ndarray, chi_ideal: np.ndarray) -> float:
 def matrix_to_json(m: np.ndarray) -> list:
     """Nested lists of [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return [[[x, y] for x, y in zip(re, im)] for re, im in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def chi_to_json(chi: np.ndarray) -> dict:

@@ -1,15 +1,17 @@
 """Test helpers: matrix and state checks, state distances, the Born
 probabilities of the six tomography settings, the Poissonian -log L
 oracle of tomography, evaluated at a density matrix, the matrix-unit
-reference for process tomography, and the references for a report's two
-writers: the dict ``report.json`` dumps and the csv module's
-text of its counts."""
+reference for process tomography, the four-draw reference for a run's plate
+errors, and the references for a report's two writers: the dict
+``report.json`` dumps and the csv module's text of its counts."""
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 
+from pauli_interference.photon_stats import derive_seed
 from pauli_interference.qubit import DEFAULT_TOL, IDENTITY, PAULI_BASIS, PureState
 from pauli_interference.tomography import (QPT_INPUT_LABELS, ChiResult,
                                            mle_negative_log_likelihood, tomography_settings)
@@ -41,6 +43,21 @@ def csv_writer_text(report) -> str:
     w.writerows([[label, repr(float(phi)), port.value, repr(float(report.duration)), n]
                  for (label, phi, port), n in zip(report.cells, report.counts)])
     return buf.getvalue()
+
+
+def apparatus_reference(builder, noise, label: str, phi0: float):
+    """The reference for ``experiments._apparatus``: the ``plates:{label}``
+    stream drawn one scalar per plate, sigma1 to sigma4, each error added to
+    the builder's angle."""
+    cfg = builder(phi=phi0 - noise.phase_offset_error, visibility=noise.visibility)
+    if noise.waveplate_angle_sigma == 0.0:
+        return cfg
+    rng = np.random.default_rng(derive_seed(noise.master_seed, f"plates:{label}"))
+    plates = {}
+    for name in ("sigma1", "sigma2", "sigma3", "sigma4"):
+        wp = getattr(cfg, name)
+        plates[name] = replace(wp, angle=wp.angle + rng.normal(0.0, noise.waveplate_angle_sigma))
+    return replace(cfg, **plates)
 
 
 def setting_probabilities(rho: np.ndarray) -> dict[str, float]:

@@ -43,12 +43,19 @@ def test_estimate_k_exact(tmp_path, capsys):
 
 
 def test_qpt_writes_chi(tmp_path, capsys):
-    code, _, _ = run_cli(["qpt", "--ideal", "--exact-probabilities",
-                          "--output", str(tmp_path)], capsys)
-    assert code == 0
-    chi = json.loads((tmp_path / "chi.json").read_text())
-    assert chi["basis"] == ["I", "X", "Y", "Z"]
-    assert chi["entries"][2][2][0] == pytest.approx(1.0, abs=1e-9)
+    # chi is rendered once: chi.json is json.dumps's text of the report's chi,
+    # and report.json's derived chi block is that text indented four spaces
+    for flags, tol in ((["--exact-probabilities"], 1e-9), (["--seed", "5"], 0.05)):
+        out = tmp_path / flags[0]
+        code, _, _ = run_cli(["qpt", "--ideal", *flags, "--output", str(out)], capsys)
+        assert code == 0
+        text = (out / "chi.json").read_text()
+        report = (out / "report.json").read_text()
+        chi = json.loads(report)["derived"]["chi"]
+        assert text == json.dumps(chi, indent=2, sort_keys=True)
+        assert f'"derived": {{\n    "chi": {text.replace(chr(10), chr(10) + 4 * " ")},\n' in report
+        assert chi["basis"] == ["I", "X", "Y", "Z"]
+        assert chi["entries"][2][2][0] == pytest.approx(1.0, abs=tol)
 
 
 def test_seeded_runs_byte_identical(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import csv_writer_text, report_dict
+from oracle import apparatus_reference, csv_writer_text, report_dict
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
 from pauli_interference.experiments import (ExperimentReport, NoiseProfile,
@@ -60,8 +60,8 @@ def test_fringe_scans_build_each_jones_matrix_once(monkeypatch):
 
 def test_qpt_builds_each_jones_matrix_once(monkeypatch):
     # the four QPT inputs share one apparatus, so a run builds its four
-    # plates' matrices once, in exact and in sampled mode; each input's six
-    # settings are one kernel call, with no conditional state
+    # plates' matrices once, in exact and in sampled mode; the four inputs'
+    # six settings are one kernel call, with no conditional state
     built, kernel_calls, conditional_calls = [], [], []
     original = optics.waveplate_matrix
     monkeypatch.setattr(optics, "waveplate_matrix",
@@ -80,8 +80,24 @@ def test_qpt_builds_each_jones_matrix_once(monkeypatch):
         run_commutator_qpt(NoiseProfile(waveplate_angle_sigma=0.05, master_seed=9,
                                         exact_probabilities=exact))
         assert len(built) <= 4
-        assert len(kernel_calls) == 4
+        assert len(kernel_calls) == 1
         assert conditional_calls == []
+
+
+def test_apparatus_plate_errors_are_the_four_draw_stream():
+    # one draw of four errors gives each plate the angle that four scalar
+    # draws of the plates:{label} stream give it, to the bit
+    for sigma in (0.05, 0.1, 0.15, 0.2):
+        for seed in range(20):
+            noise = NoiseProfile(waveplate_angle_sigma=sigma, phase_offset_error=0.2,
+                                 visibility=0.9, master_seed=seed)
+            for builder, label in ((optics.case_i, "phase-scan"), (optics.case_ii, "qpt"),
+                                   (optics.case_ii, "case-II")):
+                cfg = experiments._apparatus(builder, noise, label, 0.3)
+                ref = apparatus_reference(builder, noise, label, 0.3)
+                assert cfg == ref
+                assert [getattr(cfg, f"sigma{i}").angle.hex() for i in range(1, 5)] == \
+                    [getattr(ref, f"sigma{i}").angle.hex() for i in range(1, 5)]
 
 
 def test_case_compare_and_estimate_k_build_their_arms_once(monkeypatch):

@@ -183,6 +183,21 @@ def test_interference_probability_array_is_bit_identical_to_scalar():
         for row, sign in zip(p, (1.0, -1.0)):
             scalar = interference_probability(stack_a, stack_b, phi, visibility, psi, sign)
             assert [x.hex() for x in row.tolist()] == [x.hex() for x in scalar.tolist()]
+    # a (4, 2) stack of input vectors on the (6, 2, 2) analyzer-projected arms,
+    # as QPT's four inputs make: row j has the bits of the call on state j
+    states = list(QPT_INPUT_STATES.values())
+    vectors = np.array([state.vector for state in states])
+    for sigma in (0.05, 0.1, 0.15, 0.2):
+        for seed in range(25):
+            noise = experiments.NoiseProfile(waveplate_angle_sigma=sigma, visibility=0.9,
+                                             master_seed=seed)
+            cfg = experiments._apparatus(case_ii, noise, "qpt", 0.1 * seed)
+            pa, pb = (_PROJECTORS @ arm for arm in arm_operators(cfg))
+            p = interference_probability(pa, pb, cfg.phi, cfg.visibility, vectors, -1.0)
+            assert p.shape == (4, 6)
+            for row, state in zip(p, states):
+                one = interference_probability(pa, pb, cfg.phi, cfg.visibility, state, -1.0)
+                assert [x.hex() for x in row.tolist()] == [x.hex() for x in one.tolist()]
 
 
 def test_kernel_on_projected_arms_is_port_probability_times_conditional_state():
