@@ -1,6 +1,6 @@
 """Command-line entry point: run one experiment, write report files, print a summary.
 
-Exit codes: 0 success, 2 configuration error, 3 experiment error.
+Exit codes: 0 success, 2 configuration or usage error, 3 experiment error.
 """
 
 from __future__ import annotations
@@ -40,18 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pauli-interference",
         description="Simulated interferometric measurement of Pauli commutation relations.")
-    p.add_argument("experiment", nargs="?", choices=RUNNERS,
-                   help="experiment to run (alternative to --experiment)")
-    p.add_argument("--experiment", dest="experiment_flag", choices=RUNNERS)
+    p.add_argument("experiment", choices=RUNNERS, help="experiment to run")
     p.add_argument("--config", type=Path, help="JSON config file; flags override it")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--ideal", action="store_true",
-                   help="visibility 1, no angle error, no dark counts")
+                   help="visibility 1, efficiency 1, no dark counts, no angle or phase-offset error")
     p.add_argument("--exact-probabilities", action="store_true",
                    help="bypass Poisson sampling; counts are expected values")
     p.add_argument("--output", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="count-record format (report.json is always written)")
     return p
 
 
@@ -148,9 +144,6 @@ def _write(path: Path, text: str) -> None:
 
 
 def run(args) -> int:
-    experiment = args.experiment_flag or args.experiment
-    if experiment is None:
-        raise ConfigError("no experiment given (positional or --experiment)")
     cfg = load_config(args)
     noise = load_noise_profile(cfg, args)
     psi0 = load_input_state(cfg)
@@ -161,10 +154,9 @@ def run(args) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
 
-    report = RUNNERS[experiment](noise, psi0)
+    report = RUNNERS[args.experiment](noise, psi0)
     _write(out_dir / "report.json", report.to_json())
-    if args.format == "csv":
-        _write(out_dir / "counts.csv", report.counts_csv())
+    _write(out_dir / "counts.csv", report.counts_csv())
     if "chi" in report.derived:
         _write(out_dir / "chi.json", json_text(report.derived["chi"]))
     print_summary(report)

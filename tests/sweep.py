@@ -10,14 +10,14 @@ next to this file; a run that raises is recorded with exit code 1 and its
 exception type and message as stderr, and warnings are appended to stderr.
 Temporary paths are written as ``$TMP``, so running the script in two
 checkouts and diffing the output shows every run whose files, text or exit
-code differ.  The runs:
+code differ.  The 1,876 runs:
 
 - the README config x the five experiments x {sampled,
   ``--exact-probabilities``, ``--ideal``, both};
 - the README config with an integer ``integration_time`` of 2 x the five
-  experiments x {sampled, ``--exact-probabilities``, ``--format json``};
-- ``calibrate-noise`` on the README config x {sampled, ``--exact-probabilities``,
-  ``--format json``}, and on the default profile;
+  experiments x {sampled, ``--exact-probabilities``};
+- ``calibrate-noise`` on the README config x {sampled, ``--exact-probabilities``},
+  and on the default profile;
 - the first 100 ops of each ``perfbench`` workload at seeds 3 and 4;
 - 300 seeded weak-fringe profiles (pair rate 3-300/s, visibility in [0, 1],
   efficiency 0.05-1, dark rate up to 30/s, a phase offset) x {``phase-scan``,
@@ -67,8 +67,7 @@ MODES = {"sampled": [], "exact": ["--exact-probabilities"], "ideal": ["--ideal"]
 # an int duration is written as 2 in report.json and 2.0 in counts.csv
 README_INT_TIME_CONFIG = {**README_CONFIG, "noise": {
     **README_CONFIG["noise"], "source": {"pair_rate": 40000.0, "integration_time": 2}}}
-INT_TIME_MODES = {"sampled": [], "exact": ["--exact-probabilities"],
-                  "json": ["--format", "json"]}
+INT_TIME_MODES = {"sampled": [], "exact": ["--exact-probabilities"]}
 WORKLOAD_SEEDS = (3, 4)
 WORKLOAD_OPS = 100
 N_WEAK = 300

@@ -66,16 +66,21 @@ def test_seeded_runs_byte_identical(tmp_path, capsys):
     assert (d1 / "counts.csv").read_bytes() == (d2 / "counts.csv").read_bytes()
 
 
-def test_experiment_flag_form(tmp_path, capsys):
-    code, _, _ = run_cli(["--experiment", "phase-of-k", "--ideal",
-                          "--exact-probabilities", "--output", str(tmp_path)], capsys)
-    assert code == 0
-
-
-def test_missing_experiment_is_config_error(tmp_path, capsys):
-    code, _, err = run_cli(["--output", str(tmp_path)], capsys)
-    assert code == 2
-    assert "config error" in err
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: experiment"),
+    (["--experiment", "qpt"], "unrecognized arguments: --experiment"),
+    (["qpt", "--format", "json"], "unrecognized arguments: --format json"),
+], ids=["no-experiment", "flag-form", "format"])
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv, error):
+    # the experiment is a required positional argument and the options are
+    # fixed: argparse refuses anything else with its usage message and exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pauli-interference")
+    assert err.endswith(f"pauli-interference: error: {error}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_bad_config_file(tmp_path, capsys):
@@ -103,6 +108,8 @@ def test_bad_config_file(tmp_path, capsys):
     '{"noise": {"master_seed": true}}',
     '{"noise": {"waveplate_angle_sigma": 1e308}}',
     '{"noise": {"waveplate_angle_sigma": 3.2}}',
+    '{"noise": {"phase_offset_error": Infinity}}',
+    '{"noise": {"visibility": 1.5}}',
     '{"nosie": {"visibility": 0.1}}',
     '{"input_state": {"hwp": 0.3, "qwp": 0, "hwq": 0.1}}',
     '{"noise": {"source": {"integration_time": true}}}',
@@ -145,6 +152,7 @@ def test_bad_config_file(tmp_path, capsys):
 ], ids=["unknown-detector-key", "top-level-list", "negative-pair-rate", "nan-angle-sigma",
         "nan-input-state-angle", "huge-pair-rate", "huge-dark-rate", "string-exact-flag",
         "list-seed", "float-seed", "bool-seed", "huge-angle-sigma", "angle-sigma-above-pi",
+        "inf-phase-offset", "visibility-above-1",
         "unknown-top-level-key", "unknown-input-state-key", "bool-integration-time",
         "huge-int-integration-time", "huge-int-pair-rate", "huge-int-dark-rate",
         "huge-int-phase-offset", "huge-int-input-state-angle", "bool-visibility",
@@ -340,6 +348,17 @@ def test_unwritable_output_file_is_config_error(tmp_path, capsys, monkeypatch, e
     assert err.count("\n") == 1
 
 
+def test_unwritable_output_directory_is_config_error(tmp_path, capsys):
+    # an --output that is a file, or lies under one, cannot be made a directory
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        code, _, err = run_cli(["phase-scan", "--exact-probabilities", "--output", str(out)],
+                               capsys)
+        assert code == 2
+        assert err.startswith("config error: output directory not writable: ")
+        assert err.count("\n") == 1
+
+
 def test_partial_writes_are_finished(tmp_path, capsys, monkeypatch):
     # os.write may write fewer bytes than asked; every file is still whole
     argv = ["qpt", "--seed", "3", "--output"]
@@ -359,17 +378,10 @@ def test_partial_writes_are_finished(tmp_path, capsys, monkeypatch):
         assert (tmp_path / "short" / name).read_bytes() == whole and len(whole) > 7
 
 
-def test_json_format_writes_records_to_report_only(tmp_path, capsys):
-    runs = {}
-    for fmt in ("csv", "json"):
-        out = tmp_path / fmt
-        assert run_cli(["estimate-k", "--seed", "3", "--format", fmt,
-                        "--output", str(out)], capsys)[0] == 0
-        runs[fmt] = out
-    assert not (runs["json"] / "counts.csv").exists()
-    report = (runs["json"] / "report.json").read_text()
-    assert report == (runs["csv"] / "report.json").read_text()
-    header, *rows = (runs["csv"] / "counts.csv").read_text().splitlines()
+def test_report_records_equal_counts_csv_rows(tmp_path, capsys):
+    assert run_cli(["estimate-k", "--seed", "3", "--output", str(tmp_path)], capsys)[0] == 0
+    report = (tmp_path / "report.json").read_text()
+    header, *rows = (tmp_path / "counts.csv").read_text().splitlines()
     assert header == "setting,phi,port,duration,counts"
     assert [[r["setting"], r["phi"], r["port"], r["duration"], r["counts"]]
             for r in json.loads(report)["records"]] == [

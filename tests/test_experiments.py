@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import apparatus_reference, csv_writer_text, report_dict
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
-from pauli_interference.experiments import (ExperimentReport, NoiseProfile,
+from pauli_interference.experiments import (ExperimentReport, NoiseProfile, calibrate_angle_noise,
                                             estimate_k_magnitude, mean_qpt_fidelity,
                                             run_case_comparison, run_commutator_qpt,
                                             run_phase_of_k, run_phase_scan)
@@ -349,6 +349,21 @@ def test_fidelity_decreases_with_angle_noise_small_sample():
     f_lo = mean_qpt_fidelity(NoiseProfile(), 0.0, 10)
     f_hi = mean_qpt_fidelity(NoiseProfile(), 0.1, 10)
     assert f_lo > f_hi
+
+
+def test_calibration_bisection_moves_lower_end_up(monkeypatch):
+    # above the window at 0.05 and at the first midpoint 0.075, below it at
+    # 0.1: the bisection raises its lower end once, then lands at 0.0875
+    sigmas = []
+
+    def curve(noise, sigma, n_seeds):
+        sigmas.append(sigma)
+        return 0.97 if sigma < 0.08 else 0.94 if sigma < 0.1 else 0.9
+
+    monkeypatch.setattr(experiments, "mean_qpt_fidelity", curve)
+    result = calibrate_angle_noise()
+    assert sigmas == [0.05, 0.1, 0.5 * (0.05 + 0.1), 0.5 * (0.5 * (0.05 + 0.1) + 0.1)]
+    assert (result.waveplate_angle_sigma, result.mean_fidelity) == (sigmas[-1], 0.94)
 
 
 def test_custom_input_state_accepted():

@@ -29,6 +29,9 @@ def test_waveplate_validation():
         with pytest.raises(ValueError):
             WavePlate(math.pi, angle)
     assert WavePlate(math.pi, math.pi + 0.1).angle == pytest.approx(0.1)
+    for visibility in (-0.1, 1.5, math.nan):  # a config's visibility lies in [0, 1]
+        with pytest.raises(ValueError, match="outside"):
+            case_i(visibility=visibility)
 
 
 def test_half_wave_anchor_cases():

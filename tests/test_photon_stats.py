@@ -44,6 +44,9 @@ def test_model_validation():
         ExperimentReport("e", {}, [("s", 0.0, Port.D1)] * 2, [1], 1.0, {})
     with pytest.raises(ValueError):
         SourceModel(integration_time=True)
+    for duration in (0.0, -1):
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            ExperimentReport("e", {}, [("s", 0.0, Port.D1)], [1], duration, {})
 
 
 @pytest.mark.parametrize("field", ["counts", "phi", "duration"])
@@ -151,6 +154,10 @@ def test_fit_sinusoid_degenerate_scans():
             fit_sinusoid(np.linspace(0, 2.0, 20), np.ones(20))  # span < pi
         with pytest.raises(DegenerateScan):
             fit_sinusoid([0.0, 1.0, 2.0, 6.0], [1, 2, 3, 4])  # too few points
+    phis = np.linspace(0, 2 * math.pi, 20)
+    for counts in (np.ones(19), np.ones((20, 1))):  # not one count per phase
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            fit_sinusoid(phis, counts)
 
 
 def test_fit_sinusoid_design_cached_per_grid():

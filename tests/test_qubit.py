@@ -86,6 +86,8 @@ def test_pure_state_normalization_enforced():
     for alpha in (1.0, float("nan")):
         with pytest.raises(ValueError):
             PureState(alpha, 1.0)
+    with pytest.raises(ValueError, match="zero vector"):
+        PureState.from_vector([0.0, 0.0])
     s = PureState.from_vector([3.0, 4.0])
     assert abs(abs(s.alpha) ** 2 + abs(s.beta) ** 2 - 1) <= 1e-12
 

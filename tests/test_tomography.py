@@ -75,6 +75,9 @@ def test_qst_linear_empty_pair():
     counts["H"] = counts["V"] = 0.0
     with pytest.raises(EmptyData):
         qst_linear(counts)
+    del counts["R"]  # a setting left out is no empty pair but a malformed input
+    with pytest.raises(ValueError, match=r"missing settings: \['R'\]"):
+        qst_linear(counts)
 
 
 def test_qst_linear_nonphysical_flagged():
@@ -138,6 +141,13 @@ def _bracketed_pair_root(n_plus, n_minus, mu):
     s_lin = (n_plus - n_minus) / (n_plus + n_minus)
     s = _decreasing_root(h, min(0.0, s_lin), max(0.0, s_lin))[0]
     return s, 2.0 * s / h(s)[1]
+
+
+def test_decreasing_root_gives_up_after_200_steps():
+    # the root sits at the bracket's lower end 0, so every step halves x and
+    # none lands within 1e-15 of the last: the loop ends unconverged
+    x, steps, converged = _decreasing_root(lambda x: (-x, -1.0), 0.0, 1.0)
+    assert (x, steps, converged) == (0.5 ** 201, 200, False)
 
 
 def test_pair_root_matches_bracketed_newton():
