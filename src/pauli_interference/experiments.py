@@ -98,10 +98,6 @@ class NoiseProfile:
         if not peak_rate * self.source.integration_time <= MAX_MEAN_COUNTS:
             raise ValueError(f"mean counts per setting exceed {MAX_MEAN_COUNTS:g}")
 
-    @classmethod
-    def ideal(cls) -> "NoiseProfile":
-        return cls(exact_probabilities=True)
-
 
 class _RenderOnce(dict):
     """A dict ``json_text`` renders once, on first use, and re-indents at every later use."""
@@ -114,34 +110,30 @@ class _RenderOnce(dict):
 def json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, nested at ``indent``.
 
-    One recursive pass over str-keyed dicts, lists and tuples, writing each
-    str, bool, int and finite float as json does, and a [re, im] pair of finite
-    floats in one step.  Any other value (None and non-finite floats too) goes
-    to json.dumps and is re-indented, so the text, or the TypeError, is json's.
+    One recursive pass that dispatches on exact types.  It writes each str,
+    bool, int and finite float as json does, a ``_RenderOnce`` by its cached
+    text, a non-empty list or tuple (a [re, im] pair of finite floats in one
+    step) and a non-empty dict whose keys are all str.  Every other value goes
+    to json.dumps and is re-indented, so the text, or the TypeError, is json's:
+    None, non-finite floats, empty containers and every other subclass.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    if value is True or value is False:
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is _RenderOnce:
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is _RenderOnce:
         return value.text.replace("\n", "\n" + indent)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
+    inner = indent + "  "
+    if (kind is list or kind is tuple) and value:
         if (len(value) == 2 and type(value[0]) is float is type(value[1])
                 and math.isfinite(value[0]) and math.isfinite(value[1])):
             return f"[\n{inner}{value[0]!r},\n{inner}{value[1]!r}\n{indent}]"
         items = [json_text(v, inner) for v in value]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        if not value:
-            return "{}"
-        inner = indent + "  "
+    if kind is dict and value and all(type(k) is str for k in value):
         items = [f"{encode_basestring_ascii(k)}: {json_text(value[k], inner)}"
                  for k in sorted(value)]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"

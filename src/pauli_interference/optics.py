@@ -6,8 +6,7 @@ fast-axis angle theta has the Jones matrix
     HWP(theta) = [[cos 2theta, sin 2theta], [sin 2theta, -cos 2theta]]
 
 so that HWP(0) = sigma_z and HWP(45 deg) = sigma_x exactly, with no
-residual global phase.  The general retarder below reduces to this at
-retardance pi.
+residual global phase.
 
 Arm naming: the "transmitted" arm of the interferometer carries plates
 sigma1 then sigma2; the "reflected" arm carries sigma3 then sigma4 and
@@ -34,14 +33,14 @@ QUARTER_WAVE = math.pi / 2
 
 @dataclass(frozen=True)
 class WavePlate:
-    """A linear retarder: retardance in radians, fast-axis angle in radians."""
+    """A half- or quarter-wave plate: retardance pi or pi/2, fast-axis angle in radians."""
 
     retardance: float
     angle: float
 
     def __post_init__(self):
-        if not 0.0 < self.retardance < 2.0 * math.pi:
-            raise ValueError(f"retardance {self.retardance} outside (0, 2*pi)")
+        if self.retardance not in (HALF_WAVE, QUARTER_WAVE):
+            raise ValueError(f"retardance {self.retardance} is neither pi nor pi/2")
         if not math.isfinite(self.angle):
             raise ValueError(f"plate angle {self.angle} is not finite")
         object.__setattr__(self, "angle", self.angle % math.pi)
@@ -59,14 +58,9 @@ def waveplate_matrix(wp: WavePlate) -> np.ndarray:
     """Jones matrix R(theta) diag(1, e^{i*delta}) R(-theta) in the {H, V} basis."""
     c, s = math.cos(wp.angle), math.sin(wp.angle)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
-    # snap the exact half- and quarter-wave phases so HWP(0) is sigma_z
-    # to the last bit, not sigma_z plus a 1e-16 residue
-    if wp.retardance == HALF_WAVE:
-        ph = -1.0 + 0.0j
-    elif wp.retardance == QUARTER_WAVE:
-        ph = 1.0j
-    else:
-        ph = np.exp(1j * wp.retardance)
+    # the exact half- and quarter-wave phases, so HWP(0) is sigma_z to the
+    # last bit, not sigma_z plus the 1e-16 residue of exp(i*pi)
+    ph = -1.0 + 0.0j if wp.retardance == HALF_WAVE else 1.0j
     return rot @ np.diag([1.0 + 0.0j, ph]) @ rot.T
 
 

@@ -93,7 +93,6 @@ class FringeFit:
     amplitude: float
     phase: float
     fringe_visibility: float
-    residual: float           # rms fit residual
     phase_stderr: float
     amplitude_stderr: float
 
@@ -153,9 +152,8 @@ def fit_sinusoid(phis, counts) -> FringeFit:
     flat = amplitude <= max(2.0 * amplitude_stderr, 1e-9 * abs(a0))
     visibility = 0.0 if a0 <= 0 or flat else min(amplitude / a0, 1.0)
     return FringeFit(offset=float(a0), amplitude=float(amplitude), phase=float(phase),
-                     fringe_visibility=float(visibility),
-                     residual=float(np.sqrt(resid @ resid / len(counts))),
-                     phase_stderr=phase_stderr, amplitude_stderr=amplitude_stderr)
+                     fringe_visibility=float(visibility), phase_stderr=phase_stderr,
+                     amplitude_stderr=amplitude_stderr)
 
 
 def _wrap_near(x: float, center: float) -> float:

@@ -267,11 +267,8 @@ def process_fidelity(chi_exp: np.ndarray, chi_ideal: np.ndarray) -> float:
 
 # --- serialization ------------------------------------------------------
 
-def matrix_to_json(m: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[x, y] for x, y in zip(re, im)] for re, im in zip(m.real.tolist(), m.imag.tolist())]
-
-
 def chi_to_json(chi: np.ndarray) -> dict:
-    return {"basis": list(PAULI_LABELS), "entries": matrix_to_json(chi)}
+    """The basis labels and chi's entries as nested lists of [re, im] pairs."""
+    return {"basis": list(PAULI_LABELS),
+            "entries": [[[x, y] for x, y in zip(re, im)]
+                        for re, im in zip(chi.real.tolist(), chi.imag.tolist())]}

@@ -2,11 +2,13 @@
 probabilities of the six tomography settings, the Poissonian -log L
 oracle of tomography, evaluated at a density matrix, the matrix-unit
 reference for process tomography, the four-draw reference for a run's plate
-errors, and the references for a report's two writers: the dict
-``report.json`` dumps and the csv module's text of its counts."""
+errors, the closed forms of the exact-mode runs under plate noise, and the
+references for a report's two writers: the dict ``report.json`` dumps and the
+csv module's text of its counts."""
 
 import csv
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -45,19 +47,96 @@ def csv_writer_text(report) -> str:
     return buf.getvalue()
 
 
+def plate_errors(noise, label: str) -> list[float]:
+    """A run's plate-angle errors e1..e4, for sigma1 to sigma4: the
+    ``plates:{label}`` stream drawn one scalar per plate, or four zeros."""
+    if noise.waveplate_angle_sigma == 0.0:
+        return [0.0] * 4
+    rng = np.random.default_rng(derive_seed(noise.master_seed, f"plates:{label}"))
+    return [rng.normal(0.0, noise.waveplate_angle_sigma) for _ in range(4)]
+
+
 def apparatus_reference(builder, noise, label: str, phi0: float):
-    """The reference for ``experiments._apparatus``: the ``plates:{label}``
-    stream drawn one scalar per plate, sigma1 to sigma4, each error added to
-    the builder's angle."""
+    """The reference for ``experiments._apparatus``: each of ``plate_errors``
+    added to the builder's angle."""
     cfg = builder(phi=phi0 - noise.phase_offset_error, visibility=noise.visibility)
     if noise.waveplate_angle_sigma == 0.0:
         return cfg
-    rng = np.random.default_rng(derive_seed(noise.master_seed, f"plates:{label}"))
     plates = {}
-    for name in ("sigma1", "sigma2", "sigma3", "sigma4"):
+    for name, e in zip(("sigma1", "sigma2", "sigma3", "sigma4"), plate_errors(noise, label)):
         wp = getattr(cfg, name)
-        plates[name] = replace(wp, angle=wp.angle + rng.normal(0.0, noise.waveplate_angle_sigma))
+        plates[name] = replace(wp, angle=wp.angle + e)
     return replace(cfg, **plates)
+
+
+# Closed forms of the exact-mode runs under plate noise, on the default input
+# state |V>.  The plates the runs use are half-wave plates, real reflections,
+# so an arm is a rotation, HWP(x) HWP(y) = R(2(x - y)): with delta1 = e2 - e1
+# and delta2 = e4 - e3, case I's arms are R(2 delta1) and R(2 delta2), and case
+# II's (sigma1 and sigma4 at 45 deg) R(2 delta1 - pi/2) and R(2 delta2 + pi/2).
+# S = delta1 + delta2 and D = delta1 - delta2; on |V> the arms' overlap is
+# cos 2D in case I and -cos 2D in case II.  V in the forms is the cross term's
+# signed weight, ``_fringe_contrast``.
+
+def sum_and_difference(noise, label: str) -> tuple[float, float]:
+    """(S, D) of the run's ``plates:{label}`` draw."""
+    e1, e2, e3, e4 = plate_errors(noise, label)
+    d1, d2 = e2 - e1, e4 - e3
+    return d1 + d2, d1 - d2
+
+
+def _phase_scan_inverted(noise) -> bool:
+    """Whether the ``plates:phase-scan`` draw inverts the case-I fringe: cos 2D < 0."""
+    return math.cos(2.0 * sum_and_difference(noise, "phase-scan")[1]) < 0.0
+
+
+def phi0_form(noise) -> float:
+    """``run_phase_scan``'s phi0: the offset, or the offset - pi on an inverted fringe."""
+    return noise.phase_offset_error - (math.pi if _phase_scan_inverted(noise) else 0.0)
+
+
+def _fringe_contrast(noise) -> float:
+    """The cross term's weight at the calibrated mirror phase: V, or -V when
+    a phi0 calibration ran (a nonzero offset) on an inverted fringe."""
+    if noise.phase_offset_error != 0.0 and _phase_scan_inverted(noise):
+        return -noise.visibility
+    return noise.visibility
+
+
+def case_rates_form(noise) -> dict[str, float]:
+    """``run_case_comparison``'s four normalized rates (r p + d) / (r + 2d):
+    p = (1 + V cos 2D)/2 at case I's D1, and the other three alike."""
+    r = noise.source.pair_rate * noise.detector.efficiency
+    d = noise.detector.dark_rate
+    rates = {}
+    for case, overlap_sign in (("I", 1.0), ("II", -1.0)):
+        _, dd = sum_and_difference(noise, f"case-{case}")
+        p_d1 = 0.5 * (1.0 + overlap_sign * _fringe_contrast(noise) * math.cos(2.0 * dd))
+        for port, p in (("D1", p_d1), ("D2", 1.0 - p_d1)):
+            rates[f"case_{case}_{port}"] = (r * p + d) / (r + 2.0 * d)
+    return rates
+
+
+def k_abs_form(noise) -> float:
+    """``estimate_k_magnitude``'s |k| = 1 + V cos 2D: each blocked sub-run
+    clicks with probability 1/4, the open one with (1 + V cos 2D)/2."""
+    _, dd = sum_and_difference(noise, "estimate-k")
+    return 1.0 + _fringe_contrast(noise) * math.cos(2.0 * dd)
+
+
+def process_fidelity_form(noise) -> float:
+    """``run_commutator_qpt``'s F against sigma_y.  The commutator port mixes
+    R(S + pi/2), weight (1 + V) cos^2 D, with R(S), weight (1 - V) sin^2 D, and
+    clicks with p_c = (1 + V cos 2D)/2 for every input; the dark counts then
+    depolarize each output by eta = r p_c / (r p_c + 2d).  R(x) scores
+    sin^2 x against sigma_y and the depolarizer 1/4."""
+    s, dd = sum_and_difference(noise, "qpt")
+    v = _fringe_contrast(noise)
+    p_c = 0.5 * (1.0 + v * math.cos(2.0 * dd))
+    p = (1.0 + v) * math.cos(dd) ** 2 / (2.0 * p_c)
+    r = noise.source.pair_rate * noise.detector.efficiency
+    eta = r * p_c / (r * p_c + 2.0 * noise.detector.dark_rate)
+    return eta * (p * math.cos(s) ** 2 + (1.0 - p) * math.sin(s) ** 2) + (1.0 - eta) / 4.0
 
 
 def setting_probabilities(rho: np.ndarray) -> dict[str, float]:

@@ -47,7 +47,7 @@ def test_criterion_1_pauli_algebra():
 
 
 def test_criterion_2_pi_shift():
-    ideal = run_case_comparison(NoiseProfile.ideal()).derived
+    ideal = run_case_comparison(NoiseProfile(exact_probabilities=True)).derived
     assert ideal["case_I_D1"] == pytest.approx(1.0, abs=1e-9)
     assert ideal["case_I_D2"] == pytest.approx(0.0, abs=1e-9)
     assert ideal["case_II_D1"] == pytest.approx(0.0, abs=1e-9)
@@ -81,13 +81,13 @@ def test_criterion_4_qpt_round_trip():
         outs = {l: u @ QPT_INPUT_STATES[l].density() @ u.conj().T
                 for l in QPT_INPUT_LABELS}
         assert np.abs(qpt_reconstruct(outs).chi - chi_of_unitary(u)).max() <= 1e-9
-    fid = run_commutator_qpt(NoiseProfile.ideal()).derived["process_fidelity"]
+    fid = run_commutator_qpt(NoiseProfile(exact_probabilities=True)).derived["process_fidelity"]
     assert fid == pytest.approx(1.0, abs=1e-9)
     _ok(4, "chi round trip 1e-9 over 100 unitaries; ideal commutator F = 1")
 
 
 def test_criterion_5_k_magnitude():
-    exact = estimate_k_magnitude(NoiseProfile.ideal()).derived
+    exact = estimate_k_magnitude(NoiseProfile(exact_probabilities=True)).derived
     assert exact["k_abs"] == pytest.approx(2.0, abs=1e-9)
 
     src = SourceModel(pair_rate=4.0e4, integration_time=1.0)  # >= 1e4 per sub-run
@@ -125,7 +125,7 @@ def test_criterion_6_fidelity_calibration(calibrated_noise):
     means = [mean_qpt_fidelity(NoiseProfile(), s, 50) for s in (0.0, 0.02, 0.05, 0.1)]
     assert all(a >= b for a, b in zip(means, means[1:]))
 
-    fids = [run_commutator_qpt(replace(NoiseProfile.ideal(), visibility=v)
+    fids = [run_commutator_qpt(replace(NoiseProfile(exact_probabilities=True), visibility=v)
                                ).derived["process_fidelity"]
             for v in (1.0, 0.5, 0.1)]
     assert max(fids) - min(fids) <= 1e-9
@@ -136,7 +136,7 @@ def test_criterion_6_fidelity_calibration(calibrated_noise):
 
 def test_criterion_7_arg_k():
     from pauli_interference.experiments import run_phase_of_k
-    derived = run_phase_of_k(NoiseProfile.ideal()).derived
+    derived = run_phase_of_k(NoiseProfile(exact_probabilities=True)).derived
     assert derived["arg_k"] == pytest.approx(math.pi / 2, abs=1e-6)
     _ok(7, f"noiseless fringe-phase difference {derived['arg_k']:.8f} = pi/2")
 

@@ -1,3 +1,5 @@
+import collections
+import enum
 import json
 import math
 from dataclasses import asdict, replace
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import apparatus_reference, csv_writer_text, report_dict
+from oracle import (apparatus_reference, case_rates_form, csv_writer_text, k_abs_form,
+                    phi0_form, process_fidelity_form, report_dict, sum_and_difference)
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
 from pauli_interference.experiments import (ExperimentReport, NoiseProfile, calibrate_angle_noise,
@@ -19,7 +22,7 @@ from pauli_interference.qubit import PureState
 
 
 def test_phase_scan_ideal():
-    derived = run_phase_scan(NoiseProfile.ideal()).derived
+    derived = run_phase_scan(NoiseProfile(exact_probabilities=True)).derived
     assert derived["d1_fringe_visibility"] == pytest.approx(1.0, abs=1e-6)
     assert derived["d2_fringe_visibility"] == pytest.approx(1.0, abs=1e-6)
     assert derived["d1_d2_antiphase"] == pytest.approx(math.pi, abs=1e-6)
@@ -98,6 +101,35 @@ def test_apparatus_plate_errors_are_the_four_draw_stream():
                 assert cfg == ref
                 assert [getattr(cfg, f"sigma{i}").angle.hex() for i in range(1, 5)] == \
                     [getattr(ref, f"sigma{i}").angle.hex() for i in range(1, 5)]
+
+
+def test_exact_runs_under_plate_noise_match_closed_forms():
+    # the oracle's closed forms in each run's drawn plate errors, over seeded
+    # random profiles; phase-of-k's arg_k has no form yet
+    rng = np.random.default_rng(13)
+    inverted = set()
+    for _ in range(120):
+        noise = NoiseProfile(
+            waveplate_angle_sigma=float(rng.uniform(0.0, 0.3)),
+            phase_offset_error=float(rng.choice([0.0, 0.4])),
+            visibility=float(rng.uniform(0.7, 1.0)),
+            detector=DetectorModel(efficiency=float(rng.uniform(0.5, 1.0)),
+                                   dark_rate=float(rng.uniform(0.0, 500.0))),
+            master_seed=int(rng.integers(2**32)), exact_probabilities=True)
+        assert abs(run_phase_scan(noise).derived["phi0"] - phi0_form(noise)) <= 1e-12
+        rates = run_case_comparison(noise).derived
+        for key, rate in case_rates_form(noise).items():
+            assert abs(rates[key] - rate) <= 1e-12
+        assert abs(estimate_k_magnitude(noise).derived["k_abs"] - k_abs_form(noise)) <= 1e-12
+        assert abs(run_commutator_qpt(noise).derived["process_fidelity"]
+                   - process_fidelity_form(noise)) <= 1e-12
+        for label in ("phase-scan", "case-I", "case-II", "estimate-k", "qpt"):
+            if math.cos(2.0 * sum_and_difference(noise, label)[1]) < 0.0:
+                inverted.add((label, noise.phase_offset_error))
+    # every run meets an inverted fringe, and a phi0 calibration locks onto one
+    assert {label for label, _ in inverted} == {"phase-scan", "case-I", "case-II",
+                                                "estimate-k", "qpt"}
+    assert ("phase-scan", 0.4) in inverted
 
 
 def test_case_compare_and_estimate_k_build_their_arms_once(monkeypatch):
@@ -201,7 +233,7 @@ def test_phase_scan_recovers_injected_phase_offset():
 
 
 def test_case_comparison_ideal():
-    derived = run_case_comparison(NoiseProfile.ideal()).derived
+    derived = run_case_comparison(NoiseProfile(exact_probabilities=True)).derived
     assert derived["case_I_D1"] == pytest.approx(1.0, abs=1e-9)
     assert derived["case_I_D2"] == pytest.approx(0.0, abs=1e-9)
     assert derived["case_II_D1"] == pytest.approx(0.0, abs=1e-9)
@@ -237,19 +269,19 @@ def test_case_comparison_verdict_rejects_perturbed_plates():
 
 def test_case_comparison_partial_visibility():
     for vis in (0.8, 0.5):
-        noise = replace(NoiseProfile.ideal(), visibility=vis)
+        noise = replace(NoiseProfile(exact_probabilities=True), visibility=vis)
         derived = run_case_comparison(noise).derived
         assert derived["case_I_D2"] == pytest.approx((1 - vis) / 2, abs=1e-9)
 
 
 def test_commutator_qpt_ideal_fidelity_one():
-    derived = run_commutator_qpt(NoiseProfile.ideal()).derived
+    derived = run_commutator_qpt(NoiseProfile(exact_probabilities=True)).derived
     assert derived["process_fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert derived["psd_deviation"] <= 1e-9
 
 
 def test_commutator_qpt_visibility_independent_without_angle_noise():
-    fids = [run_commutator_qpt(replace(NoiseProfile.ideal(), visibility=v)
+    fids = [run_commutator_qpt(replace(NoiseProfile(exact_probabilities=True), visibility=v)
                                ).derived["process_fidelity"]
             for v in (1.0, 0.6, 0.2)]
     assert max(fids) - min(fids) <= 1e-9
@@ -263,7 +295,7 @@ def test_commutator_qpt_sampled_runs_mle():
 
 
 def test_estimate_k_exact():
-    derived = estimate_k_magnitude(NoiseProfile.ideal()).derived
+    derived = estimate_k_magnitude(NoiseProfile(exact_probabilities=True)).derived
     assert derived["k_abs"] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -278,24 +310,24 @@ def test_estimate_k_sampled_self_consistent():
 
 
 def test_estimate_k_dark_count_subtraction():
-    noise = replace(NoiseProfile.ideal(), detector=DetectorModel(dark_rate=50.0))
+    noise = replace(NoiseProfile(exact_probabilities=True), detector=DetectorModel(dark_rate=50.0))
     derived = estimate_k_magnitude(noise).derived
     assert derived["k_abs"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_phase_of_k_ideal():
-    derived = run_phase_of_k(NoiseProfile.ideal()).derived
+    derived = run_phase_of_k(NoiseProfile(exact_probabilities=True)).derived
     assert derived["arg_k"] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
 def test_phase_of_k_reference_vs_reference():
-    derived = run_phase_of_k(NoiseProfile.ideal()).derived
+    derived = run_phase_of_k(NoiseProfile(exact_probabilities=True)).derived
     assert derived["reference_fringe_phase"] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_phase_of_k_flat_fringe_raises():
     with pytest.raises(DegenerateScan):
-        run_phase_of_k(replace(NoiseProfile.ideal(), visibility=0.0))
+        run_phase_of_k(replace(NoiseProfile(exact_probabilities=True), visibility=0.0))
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
@@ -368,12 +400,12 @@ def test_calibration_bisection_moves_lower_end_up(monkeypatch):
 
 def test_custom_input_state_accepted():
     psi = PureState(math.cos(0.6), math.sin(0.6) * np.exp(0.4j))
-    derived = estimate_k_magnitude(NoiseProfile.ideal(), psi0=psi).derived
+    derived = estimate_k_magnitude(NoiseProfile(exact_probabilities=True), psi0=psi).derived
     assert derived["k_abs"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_source_scaling():
-    noise = replace(NoiseProfile.ideal(),
+    noise = replace(NoiseProfile(exact_probabilities=True),
                     source=SourceModel(pair_rate=2000.0, integration_time=2.0))
     report = run_case_comparison(noise)
     bright = [n for _, n in zip(report.cells, report.counts) if n > 0]
@@ -509,12 +541,31 @@ _JSON = st.recursive(_SCALARS, lambda inner: (
     | st.lists(st.floats(), min_size=2, max_size=2)), max_leaves=30)
 
 
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+class _Tag(str):
+    pass
+
+
+class _Row(list):
+    pass
+
+
 @given(_JSON | st.lists(_JSON | st.just(np.int64(3)), max_size=3)
        | st.dictionaries(_LABELS, _JSON | st.just(np.int64(3)), max_size=3))
 @example(np.int64(3))
 @example({"a": {1: "one", "b": "two"}})
 @example([[0.5, -0.0], [math.nan, 1.0], [math.inf, -math.inf], (5e-324, 1e308), [1, 2.0]])
 @example({"": {}, "x": [], "\u00e9": (), "y": ["caf\u00e9 \u03c6\U0001f600", None, True, False]})
+# every subclass goes to json.dumps, as do empty containers at any depth
+@example({"level": _Level.ONE, "levels": [_Level.ONE, 2]})
+@example({"tag": _Tag("caf\u00e9"), "tags": [_Tag("v")]})
+@example({_Tag("key"): [1], "b": 1})
+@example(collections.OrderedDict([("b", [0.5, 1.5]), ("a", {"c": 1})]))
+@example({"row": _Row([0.5, -1.5]), "rows": _Row([_Row([1, "x"]), []])})
+@example({"a": {"b": [], "c": {}, "d": [{}, []]}})
 def test_json_text_is_indent2_sorted_dumps(value):
     expected = _outcome(lambda: json.dumps(value, indent=2, sort_keys=True))
     assert _outcome(lambda: experiments.json_text(value)) == expected

@@ -14,8 +14,10 @@ calibrate-noise runs hundreds of QPTs, so only its exact mode is pinned
 (``GOLDEN_CALIBRATE``): about 0.25 s, with no fidelity clamped. The sampled
 digests also pin numpy's vector Generator.poisson stream: a record set's
 counts are one default_rng(seed).poisson(means) call. Recorded with
-Python 3.11, numpy 2.4 on x86-64; another numpy/BLAS build may move the last
-digit of a float and needs new digests. Run this file as a script
+Python 3.11, numpy 2.4.6 (``RECORDED_NUMPY``) on x86-64; another numpy/BLAS
+build may move the last digit of a float and needs new digests, so CI installs
+the versions in ``.github/workflows/constraints.txt`` and every mismatch
+names both numpy versions. Run this file as a script
 (``PYTHONPATH=src python tests/test_golden.py``) to print every digest of the
 code under test in this file's syntax.
 """
@@ -40,6 +42,10 @@ README_CONFIG = {
     },
     "input_state": {"hwp": 0.3927, "qwp": 0.0},
 }
+
+RECORDED_NUMPY = "2.4.6"
+MISMATCH = (f"golden values recorded with numpy {RECORDED_NUMPY}, running numpy "
+            f"{np.__version__}")
 
 # (experiment, exact) -> (sha256 of report.json, sha256 of counts.csv)
 GOLDEN = {
@@ -116,7 +122,7 @@ def _chi_argv(flag):
 
 @pytest.mark.parametrize("experiment,exact", sorted(GOLDEN))
 def test_golden_outputs(tmp_path, experiment, exact):
-    assert _digests(tmp_path, _argv(experiment, exact)) == GOLDEN[experiment, exact]
+    assert _digests(tmp_path, _argv(experiment, exact)) == GOLDEN[experiment, exact], MISMATCH
 
 
 # each experiment's shot-noise errors, the derived keys named `_err`: a sampled
@@ -141,16 +147,17 @@ def test_readme_config_error_keys(tmp_path, experiment, exact):
 
 
 def test_golden_qpt_ideal_projected_mle(tmp_path):
-    assert _digests(tmp_path, ["qpt", "--ideal"]) == GOLDEN_QPT_IDEAL
+    assert _digests(tmp_path, ["qpt", "--ideal"]) == GOLDEN_QPT_IDEAL, MISMATCH
 
 
 def test_golden_calibrate_noise(tmp_path):
-    assert _digests(tmp_path, ["calibrate-noise", "--exact-probabilities"]) == GOLDEN_CALIBRATE
+    assert _digests(tmp_path, ["calibrate-noise", "--exact-probabilities"]) == \
+        GOLDEN_CALIBRATE, MISMATCH
 
 
 @pytest.mark.parametrize("flag", list(GOLDEN_CHI), ids=["sampled", "exact", "ideal"])
 def test_golden_qpt_chi(tmp_path, flag):
-    assert _digests(tmp_path, _chi_argv(flag), ("chi.json",)) == (GOLDEN_CHI[flag],)
+    assert _digests(tmp_path, _chi_argv(flag), ("chi.json",)) == (GOLDEN_CHI[flag],), MISMATCH
 
 
 # qst_mle(counts).rho on the projected path, recorded before the closed-form pair
@@ -226,7 +233,8 @@ PROJECTED_MLE_STATES = [
 def test_projected_mle_states(counts, rho):
     res = qst_mle(counts)
     assert res.iterations > 0  # the linear-inversion state is unphysical
-    np.testing.assert_allclose(res.rho, np.array(rho) @ [1.0, 1j], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.rho, np.array(rho) @ [1.0, 1j], rtol=0, atol=1e-13,
+                               err_msg=MISMATCH)
 
 
 def _print_current_digests():

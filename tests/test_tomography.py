@@ -11,7 +11,7 @@ from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, STATE
                                       STATE_H, STATE_R)
 from pauli_interference.tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES,
                                            SETTING_LABELS, _decreasing_root, _pair_root,
-                                           chi_of_unitary, chi_to_json, matrix_to_json,
+                                           chi_of_unitary, chi_to_json,
                                            mle_negative_log_likelihood,
                                            process_fidelity, qpt_reconstruct, qst_linear,
                                            qst_mle, tomography_settings)
@@ -340,4 +340,4 @@ def test_serialization_round_trip():
     assert payload["basis"] == ["I", "X", "Y", "Z"]
     decoded = json.loads(json.dumps(payload))
     assert decoded["entries"][2][2] == [1.0, 0.0]
-    assert matrix_to_json(IDENTITY)[0][1] == [0.0, 0.0]
+    assert chi_to_json(IDENTITY)["entries"][0][1] == [0.0, 0.0]
