@@ -10,7 +10,7 @@ class ZeroProbability(ExperimentError, ValueError):
 
 
 class DegenerateScan(ExperimentError, ValueError):
-    """A phase scan cannot be fitted (too few points, insufficient span, or flat fringe)."""
+    """A phase scan has no usable fringe: flat, or too weak for its phase to be fitted."""
 
 
 class CalibrationInconsistent(ExperimentError, ValueError):

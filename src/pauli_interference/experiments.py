@@ -40,17 +40,14 @@ from .optics import (InterferometerConfig, Port, WavePlate, arm_operators, case_
                      interference_probability, port_operator,
                      # both unused here: perfbench/tracing.py wraps them
                      conditional_output_state, detection_probability)
-from .photon_stats import (DetectorModel, PhaseCalibration, SourceModel, _wrap_near,
-                           calibrate_phase, derive_seed, expected_rate, fit_sinusoid,
-                           reject_bools, sample_counts)
+from .photon_stats import (N_SCAN_POINTS, SCAN_PHIS, DetectorModel, PhaseCalibration,
+                           SourceModel, _wrap_near, calibrate_phase, derive_seed,
+                           expected_rate, fit_sinusoid, reject_bools, sample_counts)
 from .qubit import SIGMA_Y, PureState, STATE_V
 from .tomography import (QPT_INPUT_LABELS, QPT_INPUT_STATES, chi_of_unitary,
                          chi_to_json, process_fidelity, qpt_reconstruct, qst_linear,
                          qst_mle, tomography_settings)
 
-# the mirror phases of every fringe scan: the phi0 calibration and phase-of-k
-N_SCAN_POINTS = 40
-_SCAN_PHIS = np.linspace(-2.0 * math.pi, 2.0 * math.pi, N_SCAN_POINTS)
 # numpy's Poisson sampler refuses means above about 9.2e18, so a profile whose
 # brightest setting could ask for more is rejected up front
 MAX_MEAN_COUNTS = 1.0e18
@@ -249,7 +246,7 @@ def _scan_layout(label: str, outputs: tuple) -> tuple[tuple[_Cell, ...], np.ndar
     cross-term signs: fixed by the scan grid, so built once."""
     signs = np.array([[sign] for _, sign in outputs])
     signs.flags.writeable = False
-    return tuple((label, phi, port) for phi in _SCAN_PHIS.tolist() for port, _ in outputs), signs
+    return tuple((label, phi, port) for phi in SCAN_PHIS.tolist() for port, _ in outputs), signs
 
 
 def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureState,
@@ -259,7 +256,7 @@ def _fringe_scan(a: np.ndarray, b: np.ndarray, noise: NoiseProfile, psi0: PureSt
     (recorded port, cross-term sign) pairs at each phase.  Every output's
     probabilities over the whole phi grid are one kernel call."""
     cells, signs = _scan_layout(label, outputs)
-    p = interference_probability(a, b, _SCAN_PHIS - noise.phase_offset_error,
+    p = interference_probability(a, b, SCAN_PHIS - noise.phase_offset_error,
                                  noise.visibility, psi0, signs)
     return cells, _counts(p.T, noise, label)
 
@@ -272,7 +269,7 @@ def _calibrate(noise: NoiseProfile,
     a, b = arm_operators(_apparatus(case_i, noise, "phase-scan", 0.0))
     cells, counts = _fringe_scan(a, b, noise, psi0, "phase-scan",
                                  ((Port.D1, 1.0), (Port.D2, -1.0)))
-    return cells, counts, calibrate_phase(_SCAN_PHIS, counts[0::2], counts[1::2])
+    return cells, counts, calibrate_phase(counts[0::2], counts[1::2])
 
 
 def run_phase_scan(noise: NoiseProfile, psi0: PureState = STATE_V) -> ExperimentReport:
@@ -432,7 +429,7 @@ def run_phase_of_k(noise: NoiseProfile, psi0: PureState = STATE_V) -> Experiment
                                         ((Port.D2, 1.0),))
         cells += scan_cells
         counts += scan
-        fit = fit_sinusoid(_SCAN_PHIS, scan)
+        fit = fit_sinusoid(scan)
         if fit.fringe_visibility < 1e-6 or fit.amplitude < 5.0 * fit.amplitude_stderr:
             raise DegenerateScan(f"{scan_label} scan has no usable fringe")
         fits[scan_label] = fit

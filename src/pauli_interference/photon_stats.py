@@ -1,5 +1,7 @@
 """Poissonian coincidence counting, fringe fitting, and phase calibration, on
-count columns alone: the rows a report writes are :mod:`experiments`'s.
+count columns alone: the rows a report writes are :mod:`experiments`'s.  Every
+fringe scan runs over one mirror-phase grid, ``SCAN_PHIS``, whose fit design
+is built once, at import.
 
 Sampling rule (stable for one numpy version, NEP 19): a record set's seed is
 ``derive_seed(master_seed, set_label)``, the first 8 bytes, little endian, of
@@ -13,7 +15,6 @@ left.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -85,6 +86,15 @@ def sample_counts(rate, duration: float, seed: int):
     return int(counts) if means.ndim == 0 else counts.tolist()
 
 
+# the mirror phases of every fringe scan: the phi0 calibration and phase-of-k
+N_SCAN_POINTS = 40
+SCAN_PHIS = np.linspace(-2.0 * math.pi, 2.0 * math.pi, N_SCAN_POINTS)
+# the fit's design matrix on that grid and the inverse of its normal matrix
+_DESIGN = np.column_stack([np.ones_like(SCAN_PHIS), np.cos(SCAN_PHIS), np.sin(SCAN_PHIS)])
+_NORMAL_INV = np.linalg.inv(_DESIGN.T @ _DESIGN)
+SCAN_PHIS.flags.writeable = _DESIGN.flags.writeable = _NORMAL_INV.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FringeFit:
     """Least-squares fit of N(phi) = offset + amplitude*cos(phi - phase)."""
@@ -97,46 +107,25 @@ class FringeFit:
     amplitude_stderr: float
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_design(grid: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The fit's design matrix on a phase grid (a float64 array's bytes) and
-    the inverse of its normal matrix, both read-only.  Every fringe scan of a
-    run shares one grid, so both are built once per grid; a degenerate grid
-    raises DegenerateScan, which is not cached."""
-    phis = np.frombuffer(grid)
-    if len(np.unique(phis)) < 5:
-        raise DegenerateScan("need at least 5 distinct phase points")
-    if phis.max() - phis.min() < math.pi:
-        raise DegenerateScan(f"phase span {phis.max() - phis.min():.3f} < pi")
-    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    normal_inv = np.linalg.inv(design.T @ design)
-    design.flags.writeable = normal_inv.flags.writeable = False
-    return design, normal_inv
-
-
-def fit_sinusoid(phis, counts) -> FringeFit:
-    """Fit a single-period sinusoid to a phase scan.
+def fit_sinusoid(counts) -> FringeFit:
+    """Fit a single-period sinusoid to one count per phase of ``SCAN_PHIS``.
 
     The model is linear in (offset, amplitude*cos(phase), amplitude*sin(phase)),
-    so the fit is an exact linear least squares with no iteration, on one
-    cached design matrix per phase grid (``_scan_design``).  Raises
-    DegenerateScan when fewer than 5 distinct phases or a span below pi;
-    flat data comes back with fringe_visibility 0 rather than an error.
+    so the fit is an exact linear least squares with no iteration, on the
+    grid's design matrix.  Flat data comes back with fringe_visibility 0
+    rather than an error.
     """
-    phis = np.asarray(phis, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if phis.shape != counts.shape or phis.ndim != 1:
-        raise ValueError("phis and counts must be 1-d arrays of equal length")
-    design, normal_inv = _scan_design(phis.tobytes())
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    if counts.shape != SCAN_PHIS.shape:
+        raise ValueError(f"need one count per scan phase, {N_SCAN_POINTS} in all")
+    coef, *_ = np.linalg.lstsq(_DESIGN, counts, rcond=None)
     a0, a1, a2 = coef
     amplitude = math.hypot(a1, a2)
     phase = math.atan2(a2, a1)
 
-    resid = counts - design @ coef
-    dof = max(len(counts) - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * normal_inv
+    resid = counts - _DESIGN @ coef
+    sigma2 = float(resid @ resid) / (N_SCAN_POINTS - 3)
+    cov = sigma2 * _NORMAL_INV
     # amplitude**2 underflows to 0 below about 1e-162: take the amplitude-0 branch
     if amplitude**2 > 0:
         # d(phase)/d(a1,a2) = (-a2, a1)/amp^2 ; d(amp)/d(a1,a2) = (a1, a2)/amp
@@ -157,7 +146,7 @@ def fit_sinusoid(phis, counts) -> FringeFit:
 
 
 def _wrap_near(x: float, center: float) -> float:
-    """Shift x by multiples of 2*pi into (center - pi, center + pi]."""
+    """Shift x by multiples of 2*pi into [center - pi, center + pi)."""
     return x - 2.0 * math.pi * math.floor((x - center) / (2.0 * math.pi) + 0.5)
 
 
@@ -169,10 +158,10 @@ class PhaseCalibration:
     d2_fit: FringeFit
 
 
-def calibrate_phase(phis, d1_counts, d2_counts) -> PhaseCalibration:
+def calibrate_phase(d1_counts, d2_counts) -> PhaseCalibration:
     """Locate the mirror phase where D1 is maximal and D2 minimal.
 
-    Expects the D1 and D2 counts of one scan over the phase grid ``phis``,
+    Expects the D1 and D2 counts of one scan over ``SCAN_PHIS``,
     taken with all plates at sigma_z: a flat fringe (fringe_visibility 0)
     raises DegenerateScan, as its fitted phase is only noise.  The D1
     maximum sits at its fitted phase; the D2 minimum sits at its fitted
@@ -181,14 +170,13 @@ def calibrate_phase(phis, d1_counts, d2_counts) -> PhaseCalibration:
     1e-6 rad for noiseless data) raises CalibrationInconsistent.  Period
     aliases are resolved toward the midpoint of the grid.
     """
-    fit1 = fit_sinusoid(phis, d1_counts)
-    fit2 = fit_sinusoid(phis, d2_counts)
+    fit1 = fit_sinusoid(d1_counts)
+    fit2 = fit_sinusoid(d2_counts)
     for port, fit in (("D1", fit1), ("D2", fit2)):
         if fit.fringe_visibility == 0.0:
             raise DegenerateScan(f"{port} fringe is flat: no phase to calibrate")
 
-    phis = np.asarray(phis, dtype=float)
-    mid = 0.5 * (float(phis.min()) + float(phis.max()))
+    mid = 0.5 * (float(SCAN_PHIS[0]) + float(SCAN_PHIS[-1]))
     est1 = _wrap_near(fit1.phase, mid)
     est2 = _wrap_near(fit2.phase + math.pi, mid)
     se1, se2 = fit1.phase_stderr, fit2.phase_stderr

@@ -53,8 +53,8 @@ from pauli_interference.errors import ExperimentError  # noqa: E402
 from pauli_interference.experiments import (NoiseProfile, run_commutator_qpt,  # noqa: E402
                                             run_phase_scan)
 from pauli_interference.optics import Port  # noqa: E402
-from pauli_interference.photon_stats import (DetectorModel, SourceModel,  # noqa: E402
-                                             derive_seed, fit_sinusoid)
+from pauli_interference.photon_stats import (SCAN_PHIS, DetectorModel,  # noqa: E402
+                                             SourceModel, derive_seed, fit_sinusoid)
 from perfbench.workloads import _fringe_profile  # noqa: E402
 
 # an estimator maps a report to (value, stderr); stderr is None where it gives none
@@ -137,10 +137,9 @@ def _noise(section: dict) -> NoiseProfile:
 
 def _d1_only(report) -> tuple[float, float]:
     """phi0 from the D1 fringe alone: its fitted phase, wrapped as calibrate_phase wraps it."""
-    phis, counts = zip(*[(phi, n) for (_, phi, port), n in zip(report.cells, report.counts)
-                         if port is Port.D1])
-    fit = fit_sinusoid(phis, counts)
-    mid = 0.5 * (min(phis) + max(phis))
+    fit = fit_sinusoid([n for (_, _, port), n in zip(report.cells, report.counts)
+                        if port is Port.D1])
+    mid = 0.5 * (float(SCAN_PHIS[0]) + float(SCAN_PHIS[-1]))
     return mid + math.remainder(fit.phase - mid, 2.0 * math.pi), fit.phase_stderr
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from pauli_interference.photon_stats import derive_seed
-from pauli_interference.qubit import DEFAULT_TOL, IDENTITY, PAULI_BASIS, PureState
+from pauli_interference.qubit import DEFAULT_TOL, IDENTITY, PAULI_BASIS, SIGMA_Y, PureState
 from pauli_interference.tomography import (QPT_INPUT_LABELS, ChiResult,
                                            mle_negative_log_likelihood, tomography_settings)
 
@@ -137,6 +137,24 @@ def process_fidelity_form(noise) -> float:
     r = noise.source.pair_rate * noise.detector.efficiency
     eta = r * p_c / (r * p_c + 2.0 * noise.detector.dark_rate)
     return eta * (p * math.cos(s) ** 2 + (1.0 - p) * math.sin(s) ** 2) + (1.0 - eta) / 4.0
+
+
+def arg_k_form(noise, psi: PureState) -> float:
+    """``run_phase_of_k``'s arg_k on input psi, mod 2 pi: arg z, with
+    y = <psi|sigma_y|psi>.  The commutator port is (A - B)/2 = cos D (sin S +
+    i cos S sigma_y); a calibration on an inverted fringe puts the mirror pi
+    away, where it is -(A + B)/2 = -sin D (cos S - i sin S sigma_y).  Its
+    fringe against the sigma_y reference has the phase of <psi|sigma_y M|psi>:
+    z = cos D (y sin S + i cos S), or -sin D (y cos S - i sin S) inverted.
+    V, efficiency and dark counts scale the fringe and leave its phase."""
+    s, dd = sum_and_difference(noise, "phase-of-k")
+    v = psi.vector
+    y = float((v.conj() @ SIGMA_Y @ v).real)
+    if noise.phase_offset_error != 0.0 and _phase_scan_inverted(noise):
+        z = -math.sin(dd) * complex(y * math.cos(s), -math.sin(s))
+    else:
+        z = math.cos(dd) * complex(y * math.sin(s), math.cos(s))
+    return math.atan2(z.imag, z.real)
 
 
 def setting_probabilities(rho: np.ndarray) -> dict[str, float]:

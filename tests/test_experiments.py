@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import (apparatus_reference, case_rates_form, csv_writer_text, k_abs_form,
-                    phi0_form, process_fidelity_form, report_dict, sum_and_difference)
+from oracle import (apparatus_reference, arg_k_form, case_rates_form, csv_writer_text,
+                    k_abs_form, phi0_form, process_fidelity_form, report_dict,
+                    sum_and_difference)
 from pauli_interference import experiments, optics
 from pauli_interference.errors import DegenerateScan
 from pauli_interference.experiments import (ExperimentReport, NoiseProfile, calibrate_angle_noise,
@@ -17,7 +18,7 @@ from pauli_interference.experiments import (ExperimentReport, NoiseProfile, cali
                                             run_case_comparison, run_commutator_qpt,
                                             run_phase_of_k, run_phase_scan)
 from pauli_interference.optics import half_wave, prepare_state, quarter_wave
-from pauli_interference.photon_stats import DetectorModel, SourceModel, fit_sinusoid
+from pauli_interference.photon_stats import SCAN_PHIS, DetectorModel, SourceModel, fit_sinusoid
 from pauli_interference.qubit import PureState
 
 
@@ -105,8 +106,9 @@ def test_apparatus_plate_errors_are_the_four_draw_stream():
 
 def test_exact_runs_under_plate_noise_match_closed_forms():
     # the oracle's closed forms in each run's drawn plate errors, over seeded
-    # random profiles; phase-of-k's arg_k has no form yet
+    # random profiles; phase-of-k runs on a random input state of its own
     rng = np.random.default_rng(13)
+    states = np.random.default_rng(14)
     inverted = set()
     for _ in range(120):
         noise = NoiseProfile(
@@ -123,6 +125,9 @@ def test_exact_runs_under_plate_noise_match_closed_forms():
         assert abs(estimate_k_magnitude(noise).derived["k_abs"] - k_abs_form(noise)) <= 1e-12
         assert abs(run_commutator_qpt(noise).derived["process_fidelity"]
                    - process_fidelity_form(noise)) <= 1e-12
+        psi = PureState.from_vector(states.normal(size=2) + 1j * states.normal(size=2))
+        arg_k = run_phase_of_k(noise, psi).derived["arg_k"]
+        assert abs(math.remainder(arg_k - arg_k_form(noise, psi), 2.0 * math.pi)) <= 1e-12
         for label in ("phase-scan", "case-I", "case-II", "estimate-k", "qpt"):
             if math.cos(2.0 * sum_and_difference(noise, label)[1]) < 0.0:
                 inverted.add((label, noise.phase_offset_error))
@@ -341,7 +346,8 @@ def test_derived_values_come_from_the_written_records(exact):
     for scan in ("commutator", "reference"):
         rows = [(phi, n) for (label, phi, _), n in zip(report.cells, report.counts)
                 if label == f"arg-k:{scan}"]
-        fit = fit_sinusoid([phi for phi, _ in rows], [n for _, n in rows])
+        assert [phi for phi, _ in rows] == SCAN_PHIS.tolist()
+        fit = fit_sinusoid([n for _, n in rows])
         assert fit.phase.hex() == report.derived[f"{scan}_fringe_phase"].hex()
 
     report = run_case_comparison(noise)

@@ -12,6 +12,7 @@ from pauli_interference.optics import (InterferometerConfig, Port, WavePlate, ar
                                        detection_probability, half_wave,
                                        interference_probability, port_operator,
                                        prepare_state, quarter_wave, waveplate_matrix)
+from pauli_interference.photon_stats import SCAN_PHIS
 from pauli_interference.qubit import (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState,
                                       STATE_H, STATE_V, is_unitary)
 from pauli_interference.tomography import QPT_INPUT_STATES, tomography_settings
@@ -155,7 +156,7 @@ def test_interference_probability_array_is_bit_identical_to_scalar():
     noise = experiments.NoiseProfile(waveplate_angle_sigma=0.05, master_seed=7)
     a, b = arm_operators(experiments._apparatus(case_i, noise, "phase-scan", 0.0))
     psi = prepare_state(half_wave(0.3927), quarter_wave(0.0))
-    phis = experiments._SCAN_PHIS - 0.1
+    phis = SCAN_PHIS - 0.1
     for sign in (1.0, -1.0):
         p = interference_probability(a, b, phis, 0.95, psi, sign)
         assert p.shape == phis.shape

@@ -8,7 +8,8 @@ from oracle import csv_writer_text
 from pauli_interference.errors import CalibrationInconsistent, DegenerateScan
 from pauli_interference.experiments import ExperimentReport
 from pauli_interference.optics import Port
-from pauli_interference.photon_stats import (DetectorModel, SourceModel, _scan_design,
+from pauli_interference.photon_stats import (_DESIGN, _NORMAL_INV, N_SCAN_POINTS, SCAN_PHIS,
+                                             DetectorModel, SourceModel, _wrap_near,
                                              calibrate_phase, derive_seed, expected_rate,
                                              fit_sinusoid, sample_counts)
 
@@ -117,8 +118,7 @@ def test_derive_seed_stable_and_distinct():
 
 
 def test_fit_sinusoid_exact_recovery():
-    phis = np.linspace(0, 2 * math.pi, 20)
-    fit = fit_sinusoid(phis, 500 + 500 * np.cos(phis))
+    fit = fit_sinusoid(500 + 500 * np.cos(SCAN_PHIS))
     assert fit.offset == pytest.approx(500.0, abs=1e-6)
     assert fit.amplitude == pytest.approx(500.0, abs=1e-6)
     assert fit.phase == pytest.approx(0.0, abs=1e-6)
@@ -126,8 +126,7 @@ def test_fit_sinusoid_exact_recovery():
 
 
 def test_fit_sinusoid_phase_recovery():
-    phis = np.linspace(-math.pi, 3 * math.pi, 25)
-    fit = fit_sinusoid(phis, 500 + 250 * np.cos(phis - 0.7))
+    fit = fit_sinusoid(500 + 250 * np.cos(SCAN_PHIS - 0.7))
     assert fit.phase == pytest.approx(0.7, abs=1e-6)
     assert fit.fringe_visibility == pytest.approx(0.5, abs=1e-6)
 
@@ -135,76 +134,77 @@ def test_fit_sinusoid_phase_recovery():
 def test_fit_sinusoid_underflowing_amplitude():
     # amplitude**2 underflows to 0 below about 1e-162: the fit still finds the
     # phase, and reports its error as unknown, without a numpy warning
-    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
-    fit = fit_sinusoid(phis, 1e-170 * (1 + np.cos(phis - 0.3)))
+    fit = fit_sinusoid(1e-170 * (1 + np.cos(SCAN_PHIS - 0.3)))
     assert fit.phase == pytest.approx(0.3, abs=1e-12)
     assert fit.phase_stderr == math.inf
 
 
 def test_fit_sinusoid_flat_data():
-    phis = np.linspace(0, 2 * math.pi, 20)
-    fit = fit_sinusoid(phis, np.full_like(phis, 500.0))
+    fit = fit_sinusoid(np.full(N_SCAN_POINTS, 500.0))
     assert fit.fringe_visibility == 0.0
 
 
-def test_fit_sinusoid_degenerate_scans():
-    for _ in range(2):  # the grid cache must not swallow the error on a second call
-        with pytest.raises(DegenerateScan):
-            fit_sinusoid(np.linspace(0, 2.0, 20), np.ones(20))  # span < pi
-        with pytest.raises(DegenerateScan):
-            fit_sinusoid([0.0, 1.0, 2.0, 6.0], [1, 2, 3, 4])  # too few points
-    phis = np.linspace(0, 2 * math.pi, 20)
-    for counts in (np.ones(19), np.ones((20, 1))):  # not one count per phase
-        with pytest.raises(ValueError, match="1-d arrays of equal length"):
-            fit_sinusoid(phis, counts)
+def test_fit_sinusoid_needs_one_count_per_phase():
+    for counts in (np.ones(N_SCAN_POINTS - 1), np.ones(N_SCAN_POINTS + 1),
+                   np.ones((N_SCAN_POINTS, 1)), 5.0):
+        with pytest.raises(ValueError, match="one count per scan phase"):
+            fit_sinusoid(counts)
 
 
-def test_fit_sinusoid_design_cached_per_grid():
-    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
-    counts = 500 + 300 * np.cos(phis - 0.4) + np.random.default_rng(3).normal(0, 5, 40)
-    _scan_design.cache_clear()
-    first = fit_sinusoid(phis, counts)
-    # the cached design is the one the fit built before caching
-    design, normal_inv = _scan_design(phis.tobytes())
-    reference = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    assert np.array_equal(design, reference)
-    assert np.array_equal(normal_inv, np.linalg.inv(reference.T @ reference))
+def test_fit_sinusoid_design_built_at_import():
+    noise = np.random.default_rng(3).normal(0, 5, N_SCAN_POINTS)
+    counts = 500 + 300 * np.cos(SCAN_PHIS - 0.4) + noise
+    first = fit_sinusoid(counts)
+    # the design built at import is the grid's, and the fit is its lstsq
+    reference = np.column_stack([np.ones_like(SCAN_PHIS), np.cos(SCAN_PHIS), np.sin(SCAN_PHIS)])
+    assert np.array_equal(_DESIGN, reference)
+    assert np.array_equal(_NORMAL_INV, np.linalg.inv(reference.T @ reference))
     coef, *_ = np.linalg.lstsq(reference, counts, rcond=None)
     assert (first.offset, first.amplitude, first.phase) == (
         coef[0], math.hypot(coef[1], coef[2]), math.atan2(coef[2], coef[1]))
-    # a repeated grid, from a list or from the array, hits the cache
-    assert fit_sinusoid(phis.tolist(), counts) == first
-    assert fit_sinusoid(phis, counts) == first
-    assert _scan_design.cache_info().misses == 1
-    assert not design.flags.writeable and not normal_inv.flags.writeable
-    with pytest.raises(ValueError):
-        design[0, 0] = 2.0
+    assert fit_sinusoid(counts.tolist()) == first
+    # the grid and its design are shared by every scan, so none can be written
+    for shared in (SCAN_PHIS, _DESIGN, _NORMAL_INV):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 2.0
 
 
 def test_fit_phase_error_shrinks_with_counts():
-    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
     mean_abs_err = []
     for scale in (100, 1000, 10_000):
         errs = []
         for seed in range(100):
             rng = np.random.default_rng(derive_seed(seed, "scaling"))
-            counts = rng.poisson(scale * (1 + np.cos(phis - 0.3)) / 2)
-            errs.append(abs(fit_sinusoid(phis, counts).phase - 0.3))
+            counts = rng.poisson(scale * (1 + np.cos(SCAN_PHIS - 0.3)) / 2)
+            errs.append(abs(fit_sinusoid(counts).phase - 0.3))
         mean_abs_err.append(np.mean(errs))
     assert mean_abs_err[0] > mean_abs_err[1] > mean_abs_err[2]
 
 
+def test_wrap_near_range():
+    # [center - pi, center + pi): the lower end is kept, the upper one sent to it
+    for center in (0.0, 0.3, -1.0, 1e-3, math.pi, -2 * math.pi, 5.0):
+        lo, hi = center - math.pi, center + math.pi
+        assert _wrap_near(lo, center) == lo
+        assert _wrap_near(hi, center) == lo
+        for x in np.linspace(lo, hi, 41)[1:-1]:
+            for turns in range(-2, 3):
+                y = _wrap_near(float(x) + 2 * math.pi * turns, center)
+                assert lo <= y < hi
+                assert y == pytest.approx(float(x), abs=1e-12)
+
+
 def _case_i_scan(offset_phi=0.0, scale=None, seed=0):
-    """The phase grid and the D1 and D2 count columns of a case-I scan."""
-    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
+    """The D1 and D2 count columns of a case-I scan over the grid."""
     rng = np.random.default_rng(seed)
     d1, d2 = [], []
-    for phi in phis:
+    for phi in SCAN_PHIS:
         p1 = math.cos((phi - offset_phi) / 2) ** 2
         p2 = math.sin((phi - offset_phi) / 2) ** 2
         for column, p in ((d1, p1), (d2, p2)):
             column.append(1e4 * p if scale is None else int(rng.poisson(scale * p)))
-    return phis, d1, d2
+    return d1, d2
 
 
 def test_calibrate_phase_noiseless():
@@ -220,19 +220,18 @@ def test_calibrate_phase_recovers_injected_offset():
 @pytest.mark.parametrize("flat_port", [Port.D1, Port.D2])
 def test_calibrate_phase_refuses_flat_fringe(flat_port):
     # a flat fringe's fitted phase is atan2 of noise or of zeros
-    phis, d1, d2 = _case_i_scan()
-    flat = [0] * len(phis)
+    d1, d2 = _case_i_scan()
+    flat = [0] * N_SCAN_POINTS
     with pytest.raises(DegenerateScan, match=f"{flat_port.value} fringe is flat"):
-        calibrate_phase(phis, *((flat, d2) if flat_port is Port.D1 else (d1, flat)))
+        calibrate_phase(*((flat, d2) if flat_port is Port.D1 else (d1, flat)))
 
 
 def test_calibrate_phase_inconsistent_fringes():
-    phis = np.linspace(-2 * math.pi, 2 * math.pi, 40)
-    d1 = [1e4 * math.cos(phi / 2) ** 2 for phi in phis]
+    d1 = [1e4 * math.cos(phi / 2) ** 2 for phi in SCAN_PHIS]
     # D2 fringe shifted by an extra 0.5 rad: not the complement of D1
-    d2 = [1e4 * math.sin((phi - 0.5) / 2) ** 2 for phi in phis]
+    d2 = [1e4 * math.sin((phi - 0.5) / 2) ** 2 for phi in SCAN_PHIS]
     with pytest.raises(CalibrationInconsistent):
-        calibrate_phase(phis, d1, d2)
+        calibrate_phase(d1, d2)
 
 
 def test_records_to_csv_layout():
